@@ -68,15 +68,13 @@ def main() -> None:
     profile = vector_to_grid(mean_profile(ds), t, ds.n_movements)
     nominal = optimal_segmentation(profile, args.segments, fit_cfg,
                                    interval_minutes=ds.interval_minutes)
-    minutes = ds.interval_minutes
-    hhmm = [f"{s * minutes // 60:02d}:{s * minutes % 60:02d}"
-            for s in nominal.switch_times]
-    print(f"nominal plan: {args.segments} periods, switches at {', '.join(hhmm)}")
+    print(f"nominal plan: {args.segments} periods, "
+          f"switches at {', '.join(nominal.switch_times_hhmm)}")
 
     ctrl = ControllerConfig(window_halfwidth=args.window)
     bank = build_model_bank(ds, nominal, ctrl, args.components)
     ic = IntersectionConfig.default_for(ds.movements,
-                                        analysis_period_hours=minutes / 60.0)
+                                        analysis_period_hours=ds.interval_minutes / 60.0)
 
     header = f"{'day':>12} {'nominal':>9} {'seg':>9} {'seg+par':>9} {'bound':>9}"
     print(header)

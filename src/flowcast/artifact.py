@@ -1,0 +1,74 @@
+"""Versioned JSON artifacts: the one place their envelope is written and read.
+
+An artifact is a JSON object with sorted keys and a trailing newline.  A
+versioned artifact also carries ``format_version`` (1) and, for typed
+documents, a ``kind``; any artifact written by a CLI run carries the run's
+``manifest_hash``.  Model documents (``pca_model``, ``pls_model``,
+``pls_model_bank``) are written compact, every other document with
+``indent=2``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+FORMAT_VERSION = 1
+
+
+def document(kind: str | None, fields: dict, manifest_hash: str | None = None) -> dict:
+    """``fields`` stamped with ``format_version``, ``kind`` (unless None) and,
+    when given, ``manifest_hash``."""
+    doc = {"format_version": FORMAT_VERSION, **fields}
+    if kind is not None:
+        doc["kind"] = kind
+    if manifest_hash:
+        doc["manifest_hash"] = manifest_hash
+    return doc
+
+
+def write(doc: dict, path: str | Path | None, compact: bool = False) -> dict:
+    """Write ``doc`` to ``path`` (skipped when None) and return it.
+
+    The text goes to a temporary file in the same directory that then
+    replaces ``path``, so readers never see a partly written file.
+    """
+    if path is not None:
+        path = Path(path)
+        text = json.dumps(doc, sort_keys=True, indent=None if compact else 2) + "\n"
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return doc
+
+
+def read(source: str | Path | dict, kind: str | None) -> dict:
+    """Load a document (or take a parsed one) and check its kind and version.
+
+    Raises ``ValueError`` on invalid JSON, a different ``kind`` (None means
+    the document has no kind) or a version other than 1.
+    """
+    if isinstance(source, dict):
+        doc = source
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{source}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("kind") != kind \
+            or doc.get("format_version") != FORMAT_VERSION:
+        what = f"{kind} document" if kind else "document"
+        raise ValueError(f"not a version-{FORMAT_VERSION} {what}")
+    return doc
+
+
+def render_hhmm(interval: int, interval_minutes: int) -> str:
+    """Clock time ``HH:MM`` at the end of 1-based ``interval``."""
+    minutes = interval * interval_minutes
+    return f"{minutes // 60:02d}:{minutes % 60:02d}"

@@ -15,12 +15,12 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, artifact
 from .flowdata import (
     FlowDataset,
     SplitSpec,
@@ -32,8 +32,8 @@ from .flowdata import (
     save_dataset,
     split_at,
     vector_to_grid,
-    _aggregate,
     _parse_rows,
+    _split_grid,
 )
 from .lowrank import explained_variance, fit_pca, pca_to_json
 from .pls import fit_pls_kernel, loocv, predict
@@ -73,40 +73,21 @@ class RunManifest:
     tool_version: str = __version__
 
     def canonical_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "configs": self.configs,
-            "out_dir": self.out_dir,
-            "tool_version": self.tool_version,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @property
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def write(self, out_dir: Path) -> str:
-        doc = json.loads(self.canonical_json())
-        doc["manifest_hash"] = self.hash
-        with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        doc = {**json.loads(self.canonical_json()), "manifest_hash": self.hash}
+        artifact.write(doc, out_dir / "manifest.json")
         return self.hash
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are validation failures (exit 1)
         raise ValidationError(message)
-
-
-def _write_json(path: Path, doc: dict, manifest_hash: str) -> None:
-    doc = dict(doc)
-    doc["manifest_hash"] = manifest_hash
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows, manifest_hash: str) -> None:
@@ -125,6 +106,19 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError("config file must hold a JSON object")
     return doc
+
+
+def _config_block(config: dict, name: str, allowed) -> dict:
+    """A copy of ``config[name]``, which may use only the ``allowed`` keys."""
+    block = config.get(name, {})
+    if not isinstance(block, dict):
+        raise ValidationError(f"config block {name!r} must be a JSON object")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ValidationError(
+            f"unknown key(s) in config block {name!r}: {', '.join(unknown)}"
+        )
+    return dict(block)
 
 
 def _meta_path(csv_path: Path) -> Path:
@@ -155,7 +149,7 @@ def _fmt(value: float, places: int = 6) -> str:
 
 def cmd_synth(args) -> int:
     config = _load_config(args.config)
-    synth_cfg = dict(config.get("synth", {}))
+    synth_cfg = _config_block(config, "synth", [f.name for f in fields(SynthConfig)])
     if args.seed is not None:
         synth_cfg["seed"] = args.seed
     if "anomaly_days" in synth_cfg:
@@ -168,29 +162,16 @@ def cmd_synth(args) -> int:
         command="synth",
         inputs={},
         seed=cfg.seed,
-        configs={"synth": _synth_cfg_dict(cfg)},
+        configs={"synth": asdict(cfg)},
         out_dir=str(out),
     )
     mhash = manifest.write(out)
     ds, truth = generate(cfg)
     save_dataset(ds, out / "flows.csv", out / "flows.meta.json", manifest_hash=mhash)
-    _write_json(out / "ground_truth.json", truth.to_json_dict(), mhash)
+    artifact.write({**truth.to_json_dict(), "manifest_hash": mhash},
+                   out / "ground_truth.json")
     print(f"wrote {ds.n_days} days x {ds.flows.shape[1]} columns to {out / 'flows.csv'}")
     return 0
-
-
-def _synth_cfg_dict(cfg: SynthConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "n_days": cfg.n_days,
-        "intervals_per_day": cfg.intervals_per_day,
-        "n_movements": cfg.n_movements,
-        "n_components": cfg.n_components,
-        "noise_sigma": cfg.noise_sigma,
-        "anomaly_days": [[d, list(m)] for d, m in cfg.anomaly_days],
-        "mean_profile_shape": cfg.mean_profile_shape,
-        "start_date": cfg.start_date,
-    }
 
 
 # ---------------------------------------------------------------- pca
@@ -252,7 +233,7 @@ def _read_sample(path: Path, ds: FlowDataset, spec: SplitSpec) -> tuple[str, np.
     missing = set(ds.movements) - observed
     if missing:
         raise ValidationError(f"sample is missing movements: {sorted(missing)}")
-    grid = np.empty((1, ds.n_movements, spec.cutoff_index))
+    grid = np.zeros((1, ds.n_movements, ds.intervals_per_day))  # predicted window unused
     for m, movement in enumerate(ds.movements):
         for t in range(1, spec.cutoff_index + 1):
             if (movement, t) not in day:
@@ -260,8 +241,8 @@ def _read_sample(path: Path, ds: FlowDataset, spec: SplitSpec) -> tuple[str, np.
                     f"sample is missing ({movement}, interval {t})"
                 )
             grid[0, m, t - 1] = day[(movement, t)]
-    z = _aggregate(grid, spec.predictor_stride).reshape(-1)
-    return date_label, z
+    z, _ = _split_grid(grid, spec)
+    return date_label, z[0]
 
 
 def cmd_predict(args) -> int:
@@ -276,7 +257,7 @@ def cmd_predict(args) -> int:
         inputs={"input": str(args.input), "sample": args.sample or "",
                 "date": args.date or ""},
         seed=args.seed,
-        configs={"split": _spec_dict(spec), "pls": {"n_components": args.n_components}},
+        configs={"split": asdict(spec), "pls": {"n_components": args.n_components}},
         out_dir=str(out),
     )
     mhash = manifest.write(out)
@@ -311,16 +292,6 @@ def cmd_predict(args) -> int:
                ["movement", "interval", "actual", "predicted", "mean"], rows, mhash)
     print(f"predicted {label}: {len(rows)} rows -> {out / 'prediction.csv'}")
     return 0
-
-
-def _spec_dict(spec: SplitSpec) -> dict:
-    return {
-        "cutoff_index": spec.cutoff_index,
-        "predict_from": spec.predict_from,
-        "predict_to": spec.predict_to,
-        "predictor_stride": spec.predictor_stride,
-        "predicted_stride": spec.predicted_stride,
-    }
 
 
 # ---------------------------------------------------------------- segment
@@ -363,7 +334,7 @@ def cmd_loocv(args) -> int:
         command="loocv",
         inputs={"input": str(args.input)},
         seed=args.seed,
-        configs={"split": _spec_dict(spec), "pls": {"n_components": args.n_components}},
+        configs={"split": asdict(spec), "pls": {"n_components": args.n_components}},
         out_dir=str(out),
     )
     mhash = manifest.write(out)
@@ -381,15 +352,16 @@ def cmd_loocv(args) -> int:
         "fraction_positive_decrease": positive / len(records),
         "mean_decrease": float(np.mean([r.decrease for r in records])),
     }
-    _write_json(out / "loocv_summary.json", summary, mhash)
+    artifact.write({**summary, "manifest_hash": mhash}, out / "loocv_summary.json")
     print(f"{positive}/{len(records)} days improved over the mean baseline")
     return 0
 
 
 # ---------------------------------------------------------------- control
 
-def _intersection_from_config(ds: FlowDataset, block: dict) -> IntersectionConfig:
-    kwargs = dict(block)
+def _intersection_from_config(ds: FlowDataset, config: dict) -> IntersectionConfig:
+    keys = [f.name for f in fields(IntersectionConfig) if f.name != "n_movements"]
+    kwargs = _config_block(config, "intersection", keys)
     kwargs.setdefault("analysis_period_hours", ds.interval_minutes / 60.0)
     if "phases" in kwargs:
         phases = tuple(tuple(int(m) for m in p) for p in kwargs.pop("phases"))
@@ -413,11 +385,16 @@ def _bank_for(ds: FlowDataset, plan, ctrl_cfg: ControllerConfig, n_components: i
         "plan": plan_to_json(plan),
         "window_halfwidth": ctrl_cfg.window_halfwidth,
         "n_components": n_components,
+        "tool_version": __version__,
     }, sort_keys=True)
     key = hashlib.sha256(key_material.encode("utf-8")).hexdigest()[:16]
     cache_file = cache_dir / f"bank_{key}.json"
     if cache_file.exists():
-        return PlsModelBank.from_json(cache_file)
+        try:
+            return PlsModelBank.from_json(cache_file)
+        except ValueError as exc:
+            print(f"warning: refitting damaged bank cache {cache_file}: {exc}",
+                  file=sys.stderr)
     bank = build_model_bank(ds, plan, ctrl_cfg, n_components)
     cache_dir.mkdir(parents=True, exist_ok=True)
     bank.to_json(cache_file)
@@ -429,12 +406,12 @@ def cmd_control(args) -> int:
     config = _load_config(args.config)
     out = _out_dir(args)
     fit_cfg = FitConfig(overflow_penalty=args.overflow_penalty)
-    ctrl_block = dict(config.get("controller", {}))
+    ctrl_block = _config_block(config, "controller", ["clamp_predictions"])
     ctrl_cfg = ControllerConfig(
         window_halfwidth=args.window,
         clamp_predictions=bool(ctrl_block.get("clamp_predictions", True)),
     )
-    ic = _intersection_from_config(ds, config.get("intersection", {}))
+    ic = _intersection_from_config(ds, config)
 
     if args.plan:
         plan = plan_from_json(args.plan)
@@ -469,16 +446,12 @@ def cmd_control(args) -> int:
     else:
         indices = [ds.day_index(args.date)]
 
+    seg_cfg = replace(ctrl_cfg, mode=ControllerMode.SEGMENTATION_ONLY)
+    both_cfg = replace(ctrl_cfg, mode=ControllerMode.SEGMENTATION_AND_PARAMS)
     per_day = []
     for idx in indices:
         date = ds.days[idx].date
         day = ds.day_grid(idx)
-        seg_cfg = ControllerConfig(window_halfwidth=ctrl_cfg.window_halfwidth,
-                                   mode=ControllerMode.SEGMENTATION_ONLY,
-                                   clamp_predictions=ctrl_cfg.clamp_predictions)
-        both_cfg = ControllerConfig(window_halfwidth=ctrl_cfg.window_halfwidth,
-                                    mode=ControllerMode.SEGMENTATION_AND_PARAMS,
-                                    clamp_predictions=ctrl_cfg.clamp_predictions)
         plan_seg = run_controller(plan, day, bank, seg_cfg, fit_cfg)
         plan_both = run_controller(plan, day, bank, both_cfg, fit_cfg)
         report = DelayReport(date=date, traces={
@@ -504,7 +477,8 @@ def cmd_control(args) -> int:
     for keyset in (SCENARIOS, ("improvement_seg", "improvement_seg_params")):
         for k in keyset:
             mean_row[k] = float(np.mean([row[k] for row in table]))
-    _write_json(out / "delay_report.json", {"days": table, "mean": mean_row}, mhash)
+    artifact.write({"days": table, "mean": mean_row, "manifest_hash": mhash},
+                   out / "delay_report.json")
     print(f"evaluated {len(per_day)} day(s); mean nominal delay "
           f"{mean_row['nominal']:.1f} veh.h, seg+params improvement "
           f"{mean_row['improvement_seg_params']:.1f} veh.h")

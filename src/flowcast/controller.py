@@ -14,15 +14,15 @@ are never revisited.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .flowdata import FlowDataset, SplitSpec, split_at
 from .pls import PlsModel, fit_pls_kernel, predict, pls_to_json, pls_from_json
-from .segmentation import FitConfig, SegmentationPlan, fit_value, segment_cost
+from .segmentation import FitConfig, PeriodPlan, SegmentationPlan, fit_value, segment_cost
 
 
 class ControllerMode(enum.Enum):
@@ -133,33 +133,19 @@ class PlsModelBank:
 
     def to_json(self, path: str | Path | None = None,
                 manifest_hash: str | None = None) -> dict:
-        doc = {
-            "format_version": 1,
-            "kind": "pls_model_bank",
+        doc = artifact.document("pls_model_bank", {
             "n_movements": self.n_movements,
             "horizons": {str(i): h for i, h in self.horizons.items()},
             "models": [
                 {"period": i, "time": t, "model": pls_to_json(m)}
                 for (i, t), m in sorted(self.models.items())
             ],
-        }
-        if manifest_hash:
-            doc["manifest_hash"] = manifest_hash
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True)
-                fh.write("\n")
-        return doc
+        }, manifest_hash)
+        return artifact.write(doc, path, compact=True)
 
     @classmethod
     def from_json(cls, source: str | Path | dict) -> "PlsModelBank":
-        if isinstance(source, dict):
-            doc = source
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        if doc.get("kind") != "pls_model_bank" or doc.get("format_version") != 1:
-            raise ValueError("not a version-1 pls_model_bank document")
+        doc = artifact.read(source, "pls_model_bank")
         models = {
             (int(e["period"]), int(e["time"])): pls_from_json(e["model"])
             for e in doc["models"]
@@ -221,27 +207,16 @@ def build_model_bank(ds: FlowDataset, plan: SegmentationPlan, cfg: ControllerCon
 
 
 @dataclass(frozen=True)
-class PredictivePlan:
+class PredictivePlan(PeriodPlan):
     """Controller output: realized switch times, parameters, and a decision log."""
 
-    n_periods: int
-    n_intervals: int
-    switch_times: tuple[int, ...]
-    params: np.ndarray
     mode: ControllerMode
     decision_log: tuple[dict, ...] = field(default=())
     interval_minutes: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "switch_times", tuple(int(t) for t in self.switch_times))
-        params = np.array(self.params, dtype=float)
-        params.setflags(write=False)
-        object.__setattr__(self, "params", params)
+        super().__post_init__()
         object.__setattr__(self, "decision_log", tuple(self.decision_log))
-
-    def periods(self) -> list[tuple[int, int]]:
-        bounds = (0,) + self.switch_times + (self.n_intervals,)
-        return [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def run_controller(nominal: SegmentationPlan, day_grid: np.ndarray, bank,
@@ -313,27 +288,7 @@ def run_controller(nominal: SegmentationPlan, day_grid: np.ndarray, bank,
 def predictive_plan_to_json(plan: PredictivePlan, path: str | Path | None = None,
                             manifest_hash: str | None = None, **extra) -> dict:
     """Serialize a controller run (decision log included)."""
-    doc = {
-        "format_version": 1,
-        "kind": "predictive_plan",
-        "mode": plan.mode.value,
-        "n_periods": plan.n_periods,
-        "n_intervals": plan.n_intervals,
-        "switch_times": list(plan.switch_times),
-        "params": plan.params.tolist(),
-        "decision_log": list(plan.decision_log),
-        "interval_minutes": plan.interval_minutes,
-    }
-    if plan.interval_minutes is not None:
-        minutes = plan.interval_minutes
-        doc["switch_times_hhmm"] = [
-            f"{t * minutes // 60:02d}:{t * minutes % 60:02d}" for t in plan.switch_times
-        ]
-    if manifest_hash:
-        doc["manifest_hash"] = manifest_hash
-    doc.update(extra)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return doc
+    doc = artifact.document("predictive_plan", {
+        **plan._json_fields(), "mode": plan.mode.value,
+        "decision_log": list(plan.decision_log), **extra}, manifest_hash)
+    return artifact.write(doc, path)

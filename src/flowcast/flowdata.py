@@ -9,13 +9,14 @@ averaged over one recording interval.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from datetime import date as _date
 from pathlib import Path
 
 import numpy as np
+
+from . import artifact
 
 MINUTES_PER_DAY = 1440
 
@@ -339,23 +340,17 @@ def save_dataset(
                     writer.writerow(
                         [rec.date, movement, k + 1, repr(float(row[m * t + k]))]
                     )
-    meta = {
-        "format_version": 1,
+    meta = artifact.document(None, {
         "interval_minutes": ds.interval_minutes,
         "movements": list(ds.movements),
         "days": [{"date": r.date, "day_of_week": r.day_of_week} for r in ds.days],
-    }
-    if manifest_hash:
-        meta["manifest_hash"] = manifest_hash
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, manifest_hash)
+    artifact.write(meta, meta_path)
 
 
 def load_dataset(csv_path: str | Path, meta_path: str | Path) -> FlowDataset:
     """Load a dataset written by :func:`save_dataset`, honoring sidecar ordering."""
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = artifact.read(meta_path, None)
     ds = load_csv(csv_path, int(meta["interval_minutes"]),
                   movement_order=meta["movements"])
     sidecar_dates = [d["date"] for d in meta["days"]]
@@ -403,6 +398,16 @@ def _aggregate(block: np.ndarray, stride: int) -> np.ndarray:
     return block.reshape(d, m, w // stride, stride).mean(axis=3)
 
 
+def _split_grid(grid: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Split (D, M, T) day grids into (D, dim_z) predictor and (D, dim_y)
+    predicted rows, movement-major, each window mean-aggregated by its stride."""
+    z = _aggregate(grid[:, :, : spec.cutoff_index], spec.predictor_stride)
+    y = _aggregate(
+        grid[:, :, spec.predict_from - 1 : spec.predict_to], spec.predicted_stride
+    )
+    return z.reshape(len(grid), -1), y.reshape(len(grid), -1)
+
+
 def split_at(ds: FlowDataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Split every day into predictor matrix Z and predicted matrix Y.
 
@@ -411,13 +416,8 @@ def split_at(ds: FlowDataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     aggregated by ``predicted_stride``.  Column blocks stay movement-major.
     """
     spec.validate_for(ds.intervals_per_day)
-    t = ds.intervals_per_day
-    grid = ds.flows.reshape(ds.n_days, ds.n_movements, t)
-    z = _aggregate(grid[:, :, : spec.cutoff_index], spec.predictor_stride)
-    y = _aggregate(
-        grid[:, :, spec.predict_from - 1 : spec.predict_to], spec.predicted_stride
-    )
-    return z.reshape(ds.n_days, -1), y.reshape(ds.n_days, -1)
+    grid = ds.flows.reshape(ds.n_days, ds.n_movements, ds.intervals_per_day)
+    return _split_grid(grid, spec)
 
 
 def split_day_vector(x: np.ndarray, spec: SplitSpec, intervals_per_day: int,
@@ -425,8 +425,5 @@ def split_day_vector(x: np.ndarray, spec: SplitSpec, intervals_per_day: int,
     """Apply the same split to one day vector, returning (z, y) sample vectors."""
     spec.validate_for(intervals_per_day)
     grid = np.asarray(x, dtype=float).reshape(1, n_movements, intervals_per_day)
-    z = _aggregate(grid[:, :, : spec.cutoff_index], spec.predictor_stride)
-    y = _aggregate(
-        grid[:, :, spec.predict_from - 1 : spec.predict_to], spec.predicted_stride
-    )
-    return z.reshape(-1), y.reshape(-1)
+    z, y = _split_grid(grid, spec)
+    return z[0], y[0]

@@ -7,12 +7,12 @@ N components gives the best rank-N approximation in the Frobenius norm.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .flowdata import CenteredMatrix
 
 _ORTHONORMAL_TOL = 1e-8
@@ -154,34 +154,20 @@ def pca_to_json(model: PcaModel, path: str | Path | None = None,
     match display conventions while ``weights @ components.T`` is unchanged.
     """
     scale = model.component_scale
-    doc = {
-        "format_version": 1,
-        "kind": "pca_model",
+    doc = artifact.document("pca_model", {
         "mean": model.mean.tolist(),
         "components": (model.components * scale).tolist(),
         "weights": (model.weights / scale).tolist(),
         "singular_values": model.singular_values.tolist(),
         "singular_value_sum": model.singular_value_sum,
         "component_scale": scale,
-    }
-    if manifest_hash:
-        doc["manifest_hash"] = manifest_hash
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-    return doc
+    }, manifest_hash)
+    return artifact.write(doc, path, compact=True)
 
 
 def pca_from_json(source: str | Path | dict) -> PcaModel:
     """Load a model serialized by :func:`pca_to_json`."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if doc.get("kind") != "pca_model" or doc.get("format_version") != 1:
-        raise ValueError("not a version-1 pca_model document")
+    doc = artifact.read(source, "pca_model")
     scale = float(doc["component_scale"])
     return PcaModel(
         mean=np.asarray(doc["mean"], dtype=float),

@@ -21,13 +21,13 @@ eigenvector of ``Kz @ Ky``, found by power iteration.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .flowdata import FlowDataset, SplitSpec, split_at
 
 # Power iteration controls (kernel route).
@@ -333,9 +333,7 @@ def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int,
 def pls_to_json(model: PlsModel, path: str | Path | None = None,
                 manifest_hash: str | None = None) -> dict:
     """Serialize to a versioned JSON document (optionally written to disk)."""
-    doc = {
-        "format_version": 1,
-        "kind": "pls_model",
+    doc = artifact.document("pls_model", {
         "predictor_loadings": model.predictor_loadings.tolist(),
         "predicted_loadings": model.predicted_loadings.tolist(),
         "scores": model.scores.tolist(),
@@ -344,32 +342,14 @@ def pls_to_json(model: PlsModel, path: str | Path | None = None,
         "n_dropped": model.n_dropped,
         "z_residual_norm": model.z_residual_norm,
         "y_residual_norm": model.y_residual_norm,
-        "split": None if model.split is None else {
-            "cutoff_index": model.split.cutoff_index,
-            "predict_from": model.split.predict_from,
-            "predict_to": model.split.predict_to,
-            "predictor_stride": model.split.predictor_stride,
-            "predicted_stride": model.split.predicted_stride,
-        },
-    }
-    if manifest_hash:
-        doc["manifest_hash"] = manifest_hash
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-    return doc
+        "split": None if model.split is None else asdict(model.split),
+    }, manifest_hash)
+    return artifact.write(doc, path, compact=True)
 
 
 def pls_from_json(source: str | Path | dict) -> PlsModel:
     """Load a model serialized by :func:`pls_to_json`."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if doc.get("kind") != "pls_model" or doc.get("format_version") != 1:
-        raise ValueError("not a version-1 pls_model document")
+    doc = artifact.read(source, "pls_model")
     split = None
     if doc["split"] is not None:
         split = SplitSpec(**doc["split"])

@@ -16,11 +16,12 @@ grids with row ``t-1`` holding interval ``t``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from . import artifact
 
 
 @dataclass(frozen=True)
@@ -36,20 +37,19 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
-class SegmentationPlan:
+class PeriodPlan:
     """A fixed-count partition of [1, T] with per-period parameter vectors.
 
     ``switch_times`` hold the last interval of each period except the final
     one (so ``n_periods - 1`` strictly increasing values in [1, T-1]);
     ``params`` is an (n_periods, M) array of per-period parameter vectors.
+    Subclasses add their own fields, including ``interval_minutes``.
     """
 
     n_periods: int
     n_intervals: int
     switch_times: tuple[int, ...]
     params: np.ndarray
-    total_cost: float
-    interval_minutes: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "switch_times", tuple(int(t) for t in self.switch_times))
@@ -69,6 +69,35 @@ class SegmentationPlan:
         """Inclusive (start, end) interval ranges, covering [1, T]."""
         bounds = (0,) + self.switch_times + (self.n_intervals,)
         return [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+
+    @property
+    def switch_times_hhmm(self) -> list[str] | None:
+        """Switch times as clock times (an interval t ends at t * delta), or
+        None when the interval length is unknown."""
+        if self.interval_minutes is None:
+            return None
+        return [artifact.render_hhmm(t, self.interval_minutes) for t in self.switch_times]
+
+    def _json_fields(self) -> dict:
+        """Document fields shared by every plan kind."""
+        fields = {
+            "n_periods": self.n_periods,
+            "n_intervals": self.n_intervals,
+            "switch_times": list(self.switch_times),
+            "params": self.params.tolist(),
+            "interval_minutes": self.interval_minutes,
+        }
+        if self.interval_minutes is not None:
+            fields["switch_times_hhmm"] = self.switch_times_hhmm
+        return fields
+
+
+@dataclass(frozen=True)
+class SegmentationPlan(PeriodPlan):
+    """A time-of-day plan with its total fit cost."""
+
+    total_cost: float
+    interval_minutes: int | None = None
 
     def period_of(self, t: int) -> int:
         """0-based index of the period containing interval ``t``."""
@@ -229,48 +258,18 @@ def optimal_segmentation(x: np.ndarray, n_periods: int, cfg: FitConfig,
     )
 
 
-def _render_hhmm(interval: int, interval_minutes: int) -> str:
-    minutes = interval * interval_minutes
-    return f"{minutes // 60:02d}:{minutes % 60:02d}"
-
-
 def plan_to_json(plan: SegmentationPlan, path: str | Path | None = None,
                  manifest_hash: str | None = None, **extra) -> dict:
     """Serialize a plan, rendering switch times as HH:MM when the interval
-    length is known (an interval index t ends at clock time t * delta)."""
-    doc = {
-        "format_version": 1,
-        "kind": "segmentation_plan",
-        "n_periods": plan.n_periods,
-        "n_intervals": plan.n_intervals,
-        "switch_times": list(plan.switch_times),
-        "params": plan.params.tolist(),
-        "total_cost": plan.total_cost,
-        "interval_minutes": plan.interval_minutes,
-    }
-    if plan.interval_minutes is not None:
-        doc["switch_times_hhmm"] = [
-            _render_hhmm(t, plan.interval_minutes) for t in plan.switch_times
-        ]
-    if manifest_hash:
-        doc["manifest_hash"] = manifest_hash
-    doc.update(extra)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return doc
+    length is known."""
+    doc = artifact.document("segmentation_plan", {
+        **plan._json_fields(), "total_cost": plan.total_cost, **extra}, manifest_hash)
+    return artifact.write(doc, path)
 
 
 def plan_from_json(source: str | Path | dict) -> SegmentationPlan:
     """Load a plan serialized by :func:`plan_to_json`."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if doc.get("kind") != "segmentation_plan" or doc.get("format_version") != 1:
-        raise ValueError("not a version-1 segmentation_plan document")
+    doc = artifact.read(source, "segmentation_plan")
     return SegmentationPlan(
         n_periods=int(doc["n_periods"]),
         n_intervals=int(doc["n_intervals"]),

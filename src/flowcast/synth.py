@@ -23,6 +23,7 @@ from datetime import date as _date, timedelta
 
 import numpy as np
 
+from . import artifact
 from .flowdata import DayRecord, FlowDataset, day_of_week_tag
 
 _LEGS = ("NB", "SB", "EB", "WB")
@@ -106,14 +107,12 @@ class SynthTruth:
     weight_scales: np.ndarray
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "kind": "synth_ground_truth",
+        return artifact.document("synth_ground_truth", {
             "mean": self.mean.tolist(),
             "components": self.components.tolist(),
             "weights": self.weights.tolist(),
             "weight_scales": self.weight_scales.tolist(),
-        }
+        })
 
 
 def _bump(hours: np.ndarray, center: float, width: float) -> np.ndarray:

@@ -5,7 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowcast.cli import main
+from flowcast.cli import _intersection_from_config, main
+from flowcast.flowdata import (
+    CSV_HEADER, DayRecord, FlowDataset, SplitSpec, load_dataset, split_at,
+)
+from flowcast.pls import fit_pls_kernel, predict
+from flowcast.synth import movement_labels
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SYNTH_ARGS = ["synth", "--seed", "11", "--config"]
 
@@ -82,6 +89,29 @@ def test_predict_holdout(dataset_dir, tmp_path):
         float(r["predicted"]), float(r["mean"])
 
 
+def test_predict_external_sample(dataset_dir, tmp_path):
+    ds = load_dataset(dataset_dir / "flows.csv", dataset_dir / "flows.meta.json")
+    day = ds.day_grid(3)
+    lines = [",".join(CSV_HEADER)] + [
+        f"{ds.days[3].date},{movement},{t},{float(day[t - 1, m])!r}"
+        for m, movement in enumerate(ds.movements) for t in range(1, 11)
+    ]
+    sample = tmp_path / "sample.csv"
+    sample.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "pred"
+    rc = main(["predict", "--input", str(dataset_dir / "flows.csv"),
+               "--sample", str(sample), "--cutoff", "10", "--predictor-stride", "2",
+               "--n-components", "2", "--out-dir", str(out)])
+    assert rc == 0
+    with open(out / "prediction.csv") as fh:
+        fh.readline()
+        predicted = [float(r["predicted"]) for r in csv.DictReader(fh)]
+    spec = SplitSpec(cutoff_index=10, predict_from=11, predict_to=24, predictor_stride=2)
+    z, y = split_at(ds, spec)
+    expected = predict(fit_pls_kernel(z, y, 2, split=spec), z[3])
+    assert predicted == pytest.approx(expected, abs=1e-6)
+
+
 def test_predict_needs_date_or_sample(dataset_dir, tmp_path, capsys):
     rc = main(["predict", "--input", str(dataset_dir / "flows.csv"),
                "--out-dir", str(tmp_path / "x")])
@@ -156,6 +186,26 @@ def test_control_with_explicit_plan(dataset_dir, tmp_path):
     assert len(doc["switch_times"]) == 1
 
 
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_damaged_bank_cache_is_rebuilt(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "ctl"
+    argv = ["control", "--input", str(dataset_dir / "flows.csv"), "--out-dir", str(out),
+            "--date", "2024-01-05", "--segments", "3", "--window", "1",
+            "--n-components", "2"]
+    assert main(argv) == 0
+    first = tree_bytes(out)
+    (cache_file,) = (out / "cache").glob("bank_*.json")
+    text = cache_file.read_text()
+    cache_file.write_text(text[: len(text) // 2])  # truncated, invalid JSON
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "damaged bank cache" in capsys.readouterr().err
+    assert tree_bytes(out) == first
+
+
 def test_rerun_same_out_dir_is_byte_identical(tmp_path):
     cfg = write_synth_config(tmp_path / "config.json")
     out = tmp_path / "synth"
@@ -182,6 +232,16 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
     rc = main(["segment", "--input", str(dataset_dir / "flows.csv"),
                "--out-dir", str(tmp_path / "d"), "--segments", "99"])
     assert rc == 1  # more periods than intervals
+    capsys.readouterr()
+    for command, block, key in (("synth", {"synth": {"seeed": 3}}, "seeed"),
+                                ("control", {"intersection": {"cycle": 100}}, "cycle")):
+        cfg = tmp_path / f"{command}_typo.json"
+        cfg.write_text(json.dumps(block))
+        rc = main([command, "--input", str(dataset_dir / "flows.csv"),
+                   "--config", str(cfg), "--out-dir", str(tmp_path / command)])
+        assert rc == 1  # unknown config key
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and err.count("\n") == 1
 
 
 def test_version_flag(capsys):
@@ -189,3 +249,28 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "flowcast" in capsys.readouterr().out
+
+
+def readme_block(heading: str, fence: str) -> str:
+    """The first ``fence`` code block after ``heading`` in README.md."""
+    text = README.read_text()
+    after = text[text.index(heading):]
+    start = after.index(f"```{fence}\n") + len(fence) + 4
+    return after[start: after.index("```", start)]
+
+
+def test_readme_data_format_header_matches_loader():
+    header = readme_block("## Data format", "csv").splitlines()[0]
+    assert header == ",".join(CSV_HEADER)
+
+
+def test_readme_config_block_is_accepted(tmp_path):
+    block = readme_block("### Config file", "json")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(block)
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 0
+    ds = FlowDataset(days=(DayRecord("2024-01-01", "Mon"), DayRecord("2024-01-02", "Tue")),
+                     flows=np.zeros((2, 96 * 12)), interval_minutes=15,
+                     movements=movement_labels(12))
+    ic = _intersection_from_config(ds, json.loads(block))
+    assert ic.cycle_seconds == 120 and ic.n_phases == 4

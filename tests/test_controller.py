@@ -18,7 +18,7 @@ from flowcast import (
     vector_to_grid,
 )
 from flowcast import mean_profile, segment_cost
-from flowcast.controller import plan_horizons, validate_windows
+from flowcast.controller import PredictivePlan, plan_horizons, validate_windows
 from flowcast.segmentation import SegmentationPlan
 
 from _oracles import joint_switch_and_params
@@ -274,3 +274,16 @@ def test_bank_json_round_trip(small, tmp_path):
     a = bank.predict_window(i, tau, bank.horizons[i], day[:tau])
     b = back.predict_window(i, tau, bank.horizons[i], day[:tau])
     assert np.abs(a - b).max() < 1e-12
+
+
+def test_predictive_plan_validates_like_a_segmentation_plan():
+    kwargs = dict(n_periods=3, n_intervals=24, mode=SEG_ONLY, interval_minutes=60)
+    plan = PredictivePlan(switch_times=(8, 16), params=np.zeros((3, 2)), **kwargs)
+    assert plan.periods() == [(1, 8), (9, 16), (17, 24)]
+    assert plan.switch_times_hhmm == ["08:00", "16:00"]
+    with pytest.raises(ValueError, match="expected 2 switch times"):
+        PredictivePlan(switch_times=(8,), params=np.zeros((3, 2)), **kwargs)
+    with pytest.raises(ValueError, match="partition"):
+        PredictivePlan(switch_times=(16, 8), params=np.zeros((3, 2)), **kwargs)
+    with pytest.raises(ValueError, match="parameter vectors"):
+        PredictivePlan(switch_times=(8, 16), params=np.zeros((2, 2)), **kwargs)
