@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -121,6 +122,17 @@ def _config_block(config: dict, name: str, allowed) -> dict:
     return dict(block)
 
 
+@contextmanager
+def _typed_values(name: str):
+    """Report a config value of the wrong type in block ``name`` (the
+    ``TypeError`` of the constructor it reaches) as a validation failure."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValidationError(f"config block {name!r} holds a value of the wrong type: "
+                              f"{exc}") from None
+
+
 def _meta_path(csv_path: Path) -> Path:
     return csv_path.parent / (csv_path.stem + ".meta.json")
 
@@ -152,11 +164,12 @@ def cmd_synth(args) -> int:
     synth_cfg = _config_block(config, "synth", [f.name for f in fields(SynthConfig)])
     if args.seed is not None:
         synth_cfg["seed"] = args.seed
-    if "anomaly_days" in synth_cfg:
-        synth_cfg["anomaly_days"] = tuple(
-            (int(d), tuple(m)) for d, m in synth_cfg["anomaly_days"]
-        )
-    cfg = SynthConfig(**synth_cfg)
+    with _typed_values("synth"):
+        if "anomaly_days" in synth_cfg:
+            synth_cfg["anomaly_days"] = tuple(
+                (int(d), tuple(m)) for d, m in synth_cfg["anomaly_days"]
+            )
+        cfg = SynthConfig(**synth_cfg)
     out = _out_dir(args)
     manifest = RunManifest(
         command="synth",
@@ -363,10 +376,11 @@ def _intersection_from_config(ds: FlowDataset, config: dict) -> IntersectionConf
     keys = [f.name for f in fields(IntersectionConfig) if f.name != "n_movements"]
     kwargs = _config_block(config, "intersection", keys)
     kwargs.setdefault("analysis_period_hours", ds.interval_minutes / 60.0)
-    if "phases" in kwargs:
-        phases = tuple(tuple(int(m) for m in p) for p in kwargs.pop("phases"))
-        return IntersectionConfig(phases=phases, n_movements=ds.n_movements, **kwargs)
-    return IntersectionConfig.default_for(ds.movements, **kwargs)
+    with _typed_values("intersection"):
+        if "phases" in kwargs:
+            phases = tuple(tuple(int(m) for m in p) for p in kwargs.pop("phases"))
+            return IntersectionConfig(phases=phases, n_movements=ds.n_movements, **kwargs)
+        return IntersectionConfig.default_for(ds.movements, **kwargs)
 
 
 def _dataset_hash(ds: FlowDataset) -> str:

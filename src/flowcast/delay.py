@@ -19,7 +19,9 @@ so per-interval optimal splits are a true lower bound for any plan.
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +71,8 @@ class IntersectionConfig:
         ming = np.broadcast_to(
             np.asarray(self.min_green_fraction, dtype=float), (len(phases),)
         ).copy()
-        if np.any(ming < 0):
-            raise ValueError("min_green_fraction must be non-negative")
+        if np.any(ming <= 0):
+            raise ValueError("min_green_fraction must be positive")
         ming.setflags(write=False)
         object.__setattr__(self, "min_green_fraction", ming)
         if self.cycle_seconds <= 0 or self.lost_time_seconds < 0:
@@ -124,24 +126,27 @@ class IntersectionConfig:
         return cls(phases=phases, n_movements=len(movements), **overrides)
 
 
+def _delay(flow: np.ndarray, saturation: np.ndarray, green: np.ndarray,
+           ic: IntersectionConfig) -> np.ndarray:
+    """HCM d1 + d2 [s/veh], elementwise over broadcastable arrays; d1 is 0
+    at full green."""
+    cap = saturation * green
+    x = flow / cap
+    over = x - 1.0
+    t_h = ic.analysis_period_hours
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = np.where(green >= 1.0, 0.0, 0.5 * ic.cycle_seconds * (1.0 - green) ** 2
+                      / (1.0 - np.minimum(1.0, x) * green))
+        return d1 + 900.0 * t_h * (
+            over + np.sqrt(over ** 2 + 8.0 * K_INCREMENTAL * I_FILTERING * x / (cap * t_h)))
+
+
 def movement_delay(flow: float, saturation: float, green_fraction: float,
                    ic: IntersectionConfig) -> float:
     """Control delay [s/veh] for one movement at the given green ratio."""
     if not (0.0 < green_fraction <= 1.0):
         raise ValueError(f"green_fraction {green_fraction} outside (0, 1]")
-    g = green_fraction
-    cap = saturation * g
-    x = flow / cap
-    if g >= 1.0:
-        d1 = 0.0
-    else:
-        d1 = 0.5 * ic.cycle_seconds * (1.0 - g) ** 2 / (1.0 - min(1.0, x) * g)
-    t_h = ic.analysis_period_hours
-    d2 = 900.0 * t_h * (
-        (x - 1.0)
-        + math.sqrt((x - 1.0) ** 2 + 8.0 * K_INCREMENTAL * I_FILTERING * x / (cap * t_h))
-    )
-    return d1 + d2
+    return float(_delay(np.float64(flow), saturation, green_fraction, ic))
 
 
 @dataclass(frozen=True)
@@ -158,30 +163,86 @@ class GreenSplits:
         object.__setattr__(self, "fractions", fr)
 
 
-def _phase_objective(q: np.ndarray, sat: np.ndarray, members: tuple[int, ...],
-                     g: float, ic: IntersectionConfig) -> float:
-    total = 0.0
-    for m in members:
-        if q[m] > 0.0:
-            total += q[m] * movement_delay(q[m], sat[m], g, ic)
-    return total
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Row sums accumulated in column order.  ``sum`` may reassociate with
+    the array's layout and alignment; this way a row's sum does not depend on
+    the rows that share its batch."""
+    return np.add.accumulate(a, axis=1)[:, -1] if a.shape[1] else np.zeros(a.shape[0])
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
+def _golden(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minimum of ``fn`` on [lo, hi] after 60 iterations, one
+    bracket per row."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+    for _ in range(60):
+        left = f1 <= f2
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        step = _GOLDEN * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = fn(x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+    left = f1 <= f2
+    return np.where(left, x1, x2), np.where(left, f1, f2)
+
+
+def _solve_batch(mu: np.ndarray, ic: IntersectionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal greens (B, P) and objectives (B,) for demand rows ``mu`` (B, M).
+
+    Every row runs the steps of ``green_splits`` on its own, so its result
+    does not depend on the other rows; a row leaves the batch after the
+    sweep that converges it.
+    """
+    if np.any(mu < 0):
+        raise ValueError("demand must be non-negative")
+    q, sat, mins = ic.poisson_inflation * mu, ic.saturation_flow, ic.min_green_fraction
+    members, phase_of = [list(p) for p in ic.phases], ic.phase_of()
+    free = ic.green_budget - float(mins.sum())
+    crit = np.stack([(q[:, m] / sat[m]).max(axis=1, initial=0.0) for m in members], axis=1)
+    total = crit.sum(axis=1, keepdims=True)
+    # crit / total first: subnormal demands would lose the budget in free * crit.
+    g = np.where(total > 0, mins + free * (crit / np.where(total > 0, total, 1.0)),
+                 mins + free / ic.n_phases)
+
+    def cost(demand, saturation, green):
+        """Flow-weighted delay summed over each row."""
+        return _row_sum(np.where(demand > 0.0, demand * _delay(demand, saturation, green, ic),
+                                 0.0))
+
+    obj = cost(q, sat, g[:, phase_of])
+    active = np.arange(q.shape[0])
+    for _ in range(_MAX_SWEEPS):
+        sweep_start = obj[active]
+        for p, r in itertools.combinations(range(ic.n_phases), 2):
+            lo = -(g[active, r] - mins[r])
+            hi = g[active, p] - mins[p]
+            ok = hi - lo > 0
+            rows, cols = active[ok], members[p] + members[r]
+            qc, gc = q[np.ix_(rows, cols)], g[np.ix_(rows, phase_of[cols])]
+            sign = np.where(phase_of[cols] == p, 1.0, -1.0)  # +delta: green from p to r
+
+            def pair(delta):
+                return cost(qc, sat[cols], gc - sign * delta[:, None])
+
+            base = pair(np.zeros(rows.size))
+            delta, val = _golden(pair, lo[ok], hi[ok])
+            better = val < base - 1e-15 * np.maximum(1.0, np.abs(base))
+            moved = rows[better]
+            g[moved, p] -= delta[better]
+            g[moved, r] += delta[better]
+            obj[moved] += val[better] - base[better]
+        done = sweep_start - obj[active] <= _SWEEP_TOL * np.maximum(1.0, np.abs(sweep_start))
+        active = active[~done]
+        if not active.size:
+            break
+    if active.size:
+        warnings.warn(f"green splits: {active.size} of {q.shape[0]} rows still improving "
+                      f"after {_MAX_SWEEPS} sweeps", RuntimeWarning, stacklevel=3)
+    return g, cost(q, sat, g[:, phase_of])
 
 
 def green_splits(mu: np.ndarray, ic: IntersectionConfig) -> GreenSplits:
@@ -196,58 +257,11 @@ def green_splits(mu: np.ndarray, ic: IntersectionConfig) -> GreenSplits:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (ic.n_movements,):
         raise ValueError(f"mu shape {mu.shape} != ({ic.n_movements},)")
-    if np.any(mu < 0):
-        raise ValueError("demand must be non-negative")
-    q = ic.poisson_inflation * mu
-    sat = ic.saturation_flow
+    g, obj = _solve_batch(mu[None, :], ic)
     mins = ic.min_green_fraction
-    budget = ic.green_budget
-    free = budget - float(mins.sum())
-    n = ic.n_phases
-
-    crit = np.array([
-        max((q[m] / sat[m] for m in members), default=0.0) for members in ic.phases
-    ])
-    if crit.sum() > 0:
-        g = mins + free * crit / crit.sum()
-    else:
-        g = mins + free / n
-
-    def phase_obj(p: int, gp: float) -> float:
-        return _phase_objective(q, sat, ic.phases[p], gp, ic)
-
-    obj = sum(phase_obj(p, g[p]) for p in range(n))
-    for _ in range(_MAX_SWEEPS):
-        sweep_start = obj
-        for p in range(n):
-            for r in range(p + 1, n):
-                lo = -(g[r] - mins[r])
-                hi = g[p] - mins[p]
-                if hi - lo <= 0:
-                    continue
-                base = phase_obj(p, g[p]) + phase_obj(r, g[r])
-
-                def pair(delta: float) -> float:
-                    return phase_obj(p, g[p] - delta) + phase_obj(r, g[r] + delta)
-
-                delta, val = _golden_min(pair, lo, hi)
-                if val < base - 1e-15 * max(1.0, abs(base)):
-                    g[p] -= delta
-                    g[r] += delta
-                    obj += val - base
-        if sweep_start - obj <= _SWEEP_TOL * max(1.0, abs(sweep_start)):
-            break
-
-    obj = sum(phase_obj(p, g[p]) for p in range(n))
-    phase_of = ic.phase_of()
-    saturated = False
-    for m in range(ic.n_movements):
-        p = phase_of[m]
-        g_max = budget - (float(mins.sum()) - mins[p])
-        if q[m] >= sat[m] * g_max:
-            saturated = True
-            break
-    return GreenSplits(fractions=g, saturated=saturated, objective=float(obj))
+    g_max = ic.green_budget - (float(mins.sum()) - mins)
+    saturated = np.any(ic.poisson_inflation * mu >= ic.saturation_flow * g_max[ic.phase_of()])
+    return GreenSplits(fractions=g[0], saturated=bool(saturated), objective=float(obj[0]))
 
 
 @dataclass(frozen=True)
@@ -263,20 +277,12 @@ class DelayTrace:
         object.__setattr__(self, "rates", r)
 
 
-def _interval_rate(flows: np.ndarray, fractions: np.ndarray,
-                   ic: IntersectionConfig) -> float:
-    """Delay rate for one interval: actual flow times per-vehicle delay,
-    the latter evaluated at the Poisson-inflated flow."""
-    phase_of = ic.phase_of()
-    rate = 0.0
-    for m in range(ic.n_movements):
-        f = flows[m]
-        if f <= 0.0:
-            continue
-        d = movement_delay(ic.poisson_inflation * f, ic.saturation_flow[m],
-                           fractions[phase_of[m]], ic)
-        rate += f * d / 3600.0
-    return rate
+def _trace(day: np.ndarray, greens: np.ndarray, ic: IntersectionConfig) -> DelayTrace:
+    """Rates from per-interval phase greens (T, P): measured flow times the
+    per-vehicle delay at the Poisson-inflated flow, over 3600."""
+    d = _delay(ic.poisson_inflation * day, ic.saturation_flow, greens[:, ic.phase_of()], ic)
+    rates = _row_sum(np.where(day > 0.0, day * d / 3600.0, 0.0))
+    return DelayTrace(rates=rates, total=float(rates.sum() * ic.analysis_period_hours))
 
 
 def simulate_day(day_grid: np.ndarray, plan, ic: IntersectionConfig) -> DelayTrace:
@@ -288,14 +294,11 @@ def simulate_day(day_grid: np.ndarray, plan, ic: IntersectionConfig) -> DelayTra
     """
     day = np.asarray(day_grid, dtype=float)
     t_total = plan.n_intervals
-    if day.shape != (t_total, ic.n_movements):
-        raise ValueError(f"day grid shape {day.shape} != ({t_total}, {ic.n_movements})")
-    rates = np.zeros(t_total)
-    for (start, end), mu in zip(plan.periods(), plan.params):
-        splits = green_splits(np.maximum(mu, 0.0), ic)
-        for t in range(start, end + 1):
-            rates[t - 1] = _interval_rate(day[t - 1], splits.fractions, ic)
-    return DelayTrace(rates=rates, total=float(rates.sum() * ic.analysis_period_hours))
+    if day.shape != (t_total, ic.n_movements) or plan.params.shape[1:] != day.shape[1:]:
+        raise ValueError(f"day grid shape {day.shape} or plan params shape "
+                         f"{plan.params.shape} does not fit ({t_total}, {ic.n_movements})")
+    g, _ = _solve_batch(np.maximum(plan.params, 0.0), ic)
+    return _trace(day, np.repeat(g, [b - a + 1 for a, b in plan.periods()], axis=0), ic)
 
 
 def lower_bound_delay(day_grid: np.ndarray, ic: IntersectionConfig) -> DelayTrace:
@@ -303,11 +306,7 @@ def lower_bound_delay(day_grid: np.ndarray, ic: IntersectionConfig) -> DelayTrac
     day = np.asarray(day_grid, dtype=float)
     if day.ndim != 2 or day.shape[1] != ic.n_movements:
         raise ValueError(f"day grid must be (T, {ic.n_movements})")
-    rates = np.zeros(day.shape[0])
-    for t in range(day.shape[0]):
-        splits = green_splits(day[t], ic)
-        rates[t] = _interval_rate(day[t], splits.fractions, ic)
-    return DelayTrace(rates=rates, total=float(rates.sum() * ic.analysis_period_hours))
+    return _trace(day, _solve_batch(day, ic)[0], ic)
 
 
 SCENARIOS = ("nominal", "predictive_seg", "predictive_seg_params", "lower_bound")

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 
 from flowcast import FitConfig, fit_value, segment_cost
+from flowcast.delay import (_GOLDEN, _MAX_SWEEPS, _SWEEP_TOL, GreenSplits,
+                            movement_delay)
 
 
 def brute_force_plan(x, n_periods, cfg):
@@ -74,3 +76,88 @@ def golden_section(fn, lo, hi, iters=90):
             fd = fn(d)
     x = (a + b) / 2.0
     return x, fn(x)
+
+
+def _phase_objective(q, sat, members, g, ic):
+    total = 0.0
+    for m in members:
+        if q[m] > 0.0:
+            total += q[m] * movement_delay(q[m], sat[m], g, ic)
+    return total
+
+
+def _golden_min(fn, lo, hi, iters=60):
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = fn(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+def scalar_green_splits(mu, ic):
+    """The scalar pairwise-exchange green-split search, one demand vector at
+    a time: the parity reference for ``flowcast.delay``'s batched solver."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (ic.n_movements,):
+        raise ValueError(f"mu shape {mu.shape} != ({ic.n_movements},)")
+    if np.any(mu < 0):
+        raise ValueError("demand must be non-negative")
+    q = ic.poisson_inflation * mu
+    sat = ic.saturation_flow
+    mins = ic.min_green_fraction
+    budget = ic.green_budget
+    free = budget - float(mins.sum())
+    n = ic.n_phases
+
+    crit = np.array([
+        max((q[m] / sat[m] for m in members), default=0.0) for members in ic.phases
+    ])
+    if crit.sum() > 0:
+        g = mins + free * crit / crit.sum()
+    else:
+        g = mins + free / n
+
+    def phase_obj(p, gp):
+        return _phase_objective(q, sat, ic.phases[p], gp, ic)
+
+    obj = sum(phase_obj(p, g[p]) for p in range(n))
+    for _ in range(_MAX_SWEEPS):
+        sweep_start = obj
+        for p in range(n):
+            for r in range(p + 1, n):
+                lo = -(g[r] - mins[r])
+                hi = g[p] - mins[p]
+                if hi - lo <= 0:
+                    continue
+                base = phase_obj(p, g[p]) + phase_obj(r, g[r])
+
+                def pair(delta):
+                    return phase_obj(p, g[p] - delta) + phase_obj(r, g[r] + delta)
+
+                delta, val = _golden_min(pair, lo, hi)
+                if val < base - 1e-15 * max(1.0, abs(base)):
+                    g[p] -= delta
+                    g[r] += delta
+                    obj += val - base
+        if sweep_start - obj <= _SWEEP_TOL * max(1.0, abs(sweep_start)):
+            break
+
+    obj = sum(phase_obj(p, g[p]) for p in range(n))
+    phase_of = ic.phase_of()
+    saturated = False
+    for m in range(ic.n_movements):
+        p = phase_of[m]
+        g_max = budget - (float(mins.sum()) - mins[p])
+        if q[m] >= sat[m] * g_max:
+            saturated = True
+            break
+    return GreenSplits(fractions=g, saturated=saturated, objective=float(obj))

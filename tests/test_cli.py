@@ -233,13 +233,17 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
                "--out-dir", str(tmp_path / "d"), "--segments", "99"])
     assert rc == 1  # more periods than intervals
     capsys.readouterr()
-    for command, block, key in (("synth", {"synth": {"seeed": 3}}, "seeed"),
-                                ("control", {"intersection": {"cycle": 100}}, "cycle")):
-        cfg = tmp_path / f"{command}_typo.json"
+    for command, block, key in (
+            ("synth", {"synth": {"seeed": 3}}, "seeed"),  # unknown key
+            ("control", {"intersection": {"cycle": 100}}, "cycle"),
+            ("synth", {"synth": {"n_days": "x"}}, "'synth'"),  # wrong type
+            ("control", {"intersection": {"cycle_seconds": "x"}}, "'intersection'"),
+            ("control", {"intersection": {"min_green_fraction": 0.0}}, "min_green")):
+        cfg = tmp_path / f"{command}_bad.json"
         cfg.write_text(json.dumps(block))
         rc = main([command, "--input", str(dataset_dir / "flows.csv"),
                    "--config", str(cfg), "--out-dir", str(tmp_path / command)])
-        assert rc == 1  # unknown config key
+        assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and err.count("\n") == 1
 

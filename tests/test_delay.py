@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowcast import (
     ControllerConfig,
@@ -17,10 +20,11 @@ from flowcast import (
     run_controller,
     simulate_day,
 )
+from flowcast import delay
 from flowcast.delay import SCENARIOS, DelayTrace
 from flowcast.synth import movement_labels
 
-from _oracles import golden_section
+from _oracles import golden_section, scalar_green_splits
 
 CFG = FitConfig(overflow_penalty=2.0)
 
@@ -83,6 +87,10 @@ def test_intersection_config_validation():
         two_phase(poisson_inflation=0.9)
     with pytest.raises(ValueError):
         two_phase(saturation_flow=0.0)
+    with pytest.raises(ValueError, match="min_green_fraction must be positive"):
+        two_phase(min_green_fraction=0.0)
+    with pytest.raises(ValueError, match="min_green_fraction must be positive"):
+        two_phase(min_green_fraction=(0.1, 0.0))
     ic = two_phase(saturation_flow=(1800.0, 1600.0))
     assert ic.saturation_flow[1] == 1600.0
     assert ic.green_budget == pytest.approx(1.0 - 16.0 / 120.0, rel=1e-15)
@@ -233,3 +241,107 @@ def test_report_table_shape():
     assert table["improvement_seg"] == pytest.approx(0.75)
     assert table["improvement_seg_params"] == pytest.approx(1.5)
     assert table["lower_bound"] == pytest.approx(0.75)
+
+
+# ---------------------------------------------------------------- batched solver
+
+FOUR_PHASE = IntersectionConfig.default_for(movement_labels(12))
+# Demands with zero-demand movements and oversaturation (capacity at the
+# largest green is about 1800 * 0.8 / 1.1 = 1300 vph before inflation).
+DEMAND = st.one_of(st.just(0.0), st.floats(0.0, 900.0), st.floats(1300.0, 4000.0))
+
+
+def assert_matches_scalar(mu, ic):
+    out = green_splits(mu, ic)
+    ref = scalar_green_splits(mu, ic)
+    assert out.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
+    assert out.saturated == ref.saturated
+    assert np.all(out.fractions >= ic.min_green_fraction - 1e-12)
+    assert out.fractions.sum() == pytest.approx(ic.green_budget, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(DEMAND, min_size=2, max_size=2))
+@example([0.0, 2.2250738585e-313])  # subnormal demand: the start must keep the budget
+def test_batched_splits_match_scalar_two_phase(mu):
+    assert_matches_scalar(np.array(mu), two_phase())
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(DEMAND, min_size=12, max_size=12),
+       st.sets(st.integers(0, 3), max_size=3))
+def test_batched_splits_match_scalar_four_phase(mu, idle_phases):
+    mu = np.array(mu)
+    for p in idle_phases:  # zero demand on whole phases
+        mu[list(FOUR_PHASE.phases[p])] = 0.0
+    assert_matches_scalar(mu, FOUR_PHASE)
+
+
+def record_batches(monkeypatch):
+    """Wrap the batch core; returns the list of (demand rows, greens,
+    objectives) it saw."""
+    calls = []
+    core = delay._solve_batch
+
+    def spy(mu, ic):
+        g, obj = core(mu, ic)
+        calls.append((np.array(mu), g.copy(), obj.copy()))
+        return g, obj
+
+    monkeypatch.setattr(delay, "_solve_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ic", [two_phase(), FOUR_PHASE], ids=["2-phase", "4-phase"])
+def test_row_splits_do_not_depend_on_the_batch(ic, noisy, monkeypatch):
+    # A full synthetic day: numpy lays out (and so may sum) a 96-row batch
+    # differently from a single row.
+    day = noisy[0].day_grid(33)[:, :ic.n_movements].copy()
+    day[16] = 0.0
+    day[40, list(ic.phases[0])] = 0.0
+    day[64] *= 4.0  # oversaturated
+    calls = record_batches(monkeypatch)
+    lower_bound_delay(day, ic)
+    (_, greens, objectives), = calls
+    for t in range(0, 96, 8):
+        alone = green_splits(day[t], ic)
+        assert np.array_equal(alone.fractions, greens[t])
+        assert alone.objective == objectives[t]
+
+
+def test_one_solve_per_day_and_per_plan(small, monkeypatch):
+    ds, _ = small
+    ic = IntersectionConfig.default_for(ds.movements,
+                                        analysis_period_hours=ds.interval_minutes / 60.0)
+    day = ds.day_grid(4)
+    plan = optimal_segmentation(day, 5, CFG)
+    calls = record_batches(monkeypatch)
+    lower_bound_delay(day, ic)
+    assert len(calls) == 1 and calls[0][0].shape == (ds.intervals_per_day, ic.n_movements)
+    simulate_day(day, plan, ic)
+    assert len(calls) == 2 and calls[1][0].shape == (5, ic.n_movements)
+
+
+def test_capped_solve_warns_once_with_the_count(monkeypatch):
+    ic = two_phase()
+    day = np.array([[600.0, 200.0], [0.0, 0.0], [300.0, 500.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lower_bound_delay(day, ic)  # converges well inside the cap
+    monkeypatch.setattr(delay, "_MAX_SWEEPS", 1)
+    with pytest.warns(RuntimeWarning, match="2 of 3 rows") as record:
+        lower_bound_delay(day, ic)
+    assert len(record) == 1
+
+
+def test_zero_demand_phase_keeps_a_positive_green():
+    """A zero-demand period gives its phase the minimum green, so flow that
+    shows up there on the measured day is still served."""
+    profile = np.array([[500.0, 0.0]] * 4 + [[500.0, 300.0]] * 4)
+    plan = optimal_segmentation(profile, 2, CFG)
+    day = profile.copy()
+    day[1, 1] = 40.0
+    ic = two_phase(min_green_fraction=0.01)
+    trace = simulate_day(day, plan, ic)
+    assert np.all(np.isfinite(trace.rates)) and trace.rates[1] > trace.rates[0]
+    assert lower_bound_delay(day, ic).total <= trace.total + 1e-9
