@@ -239,23 +239,25 @@ def _split_spec_from_args(args, ds: FlowDataset) -> SplitSpec:
 
 def _read_sample(path: Path, ds: FlowDataset, spec: SplitSpec) -> tuple[str, np.ndarray]:
     """Read one day's predictor window from an external long-format CSV."""
-    cells, observed = _parse_rows(path, ds.intervals_per_day)
-    if len(cells) != 1:
-        raise ValidationError(f"sample file must hold exactly one date, got {len(cells)}")
-    date_label, day = next(iter(cells.items()))
-    missing = set(ds.movements) - observed
+    rows = _parse_rows(path, ds.intervals_per_day)
+    if len(rows.dates) != 1:
+        raise ValidationError(f"sample file must hold exactly one date, got {len(rows.dates)}")
+    missing = set(ds.movements) - set(rows.movements)
     if missing:
         raise ValidationError(f"sample is missing movements: {sorted(missing)}")
+    position = {label: m for m, label in enumerate(ds.movements)}
+    row_m = np.array([position.get(label, -1) for label in rows.movements])[rows.movement]
+    keep = row_m >= 0
     grid = np.zeros((1, ds.n_movements, ds.intervals_per_day))  # predicted window unused
-    for m, movement in enumerate(ds.movements):
-        for t in range(1, spec.cutoff_index + 1):
-            if (movement, t) not in day:
-                raise ValidationError(
-                    f"sample is missing ({movement}, interval {t})"
-                )
-            grid[0, m, t - 1] = day[(movement, t)]
+    seen = np.zeros(grid.shape[1:], dtype=bool)
+    grid[0, row_m[keep], rows.interval[keep]] = rows.flow[keep]
+    seen[row_m[keep], rows.interval[keep]] = True
+    gaps = np.argwhere(~seen[:, : spec.cutoff_index])  # movement-major order
+    if len(gaps):
+        m, t = gaps[0]
+        raise ValidationError(f"sample is missing ({ds.movements[m]}, interval {t + 1})")
     z, _ = _split_grid(grid, spec)
-    return date_label, z[0]
+    return rows.dates[0], z[0]
 
 
 def cmd_predict(args) -> int:

@@ -12,7 +12,9 @@ import csv
 import warnings
 from dataclasses import dataclass
 from datetime import date as _date
+from itertools import compress, islice, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +55,23 @@ def grid_to_vector(grid: np.ndarray) -> np.ndarray:
     return np.asarray(grid, dtype=float).T.reshape(-1)
 
 
+def _check_movement_labels(labels) -> None:
+    """Reject labels that ``save_dataset`` could write but ``load_csv`` could
+    not read back: it strips fields and reads one row per line."""
+    seen: set[str] = set()
+    for label in labels:
+        if not isinstance(label, str):
+            raise ValidationError(f"movement label {label!r} is not a string")
+        if not label or label != label.strip() or "\n" in label or "\r" in label:
+            raise ValidationError(
+                f"movement label {label!r} is empty, has leading or trailing "
+                f"whitespace, or holds a line break"
+            )
+        if label in seen:
+            raise ValidationError(f"movement label {label!r} repeats")
+        seen.add(label)
+
+
 @dataclass(frozen=True)
 class DayRecord:
     """One recorded day: ISO date label plus derived weekday tag."""
@@ -81,6 +100,7 @@ class FlowDataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "days", tuple(self.days))
         object.__setattr__(self, "movements", tuple(str(m) for m in self.movements))
+        _check_movement_labels(self.movements)
         flows = np.array(self.flows, dtype=float)
         if self.interval_minutes < 1 or MINUTES_PER_DAY % self.interval_minutes != 0:
             raise ValidationError(
@@ -197,71 +217,197 @@ class SplitSpec:
         return (self.predict_to - self.predict_from + 1) // self.predicted_stride
 
 
-def _parse_rows(path: Path, intervals_per_day: int):
-    """Parse and validate the long-format CSV, returning per-day cell maps."""
-    cells: dict[str, dict[tuple[str, int], float]] = {}
-    observed: set[str] = set()
+# Lines read at a time by ``_parse_rows``.  A block's fields exist as Python
+# strings only while that block is parsed, so the parser's memory follows the
+# row count (integer codes and a float per row), not the file's text.  A
+# block's arrays (32 KiB each) stay below glibc's mmap threshold, so each
+# block reuses the heap memory the previous one freed and a load faults in
+# few fresh pages, whose cost varies with the host.
+_BLOCK_LINES = 1 << 12
+
+
+class _Rows(NamedTuple):
+    """The validated data rows of a long-format CSV, one array entry per row."""
+
+    dates: list[str]       # distinct date labels, in order of first appearance
+    movements: list[str]   # distinct movement labels, likewise
+    day: np.ndarray        # index into ``dates``
+    movement: np.ndarray   # index into ``movements``
+    interval: np.ndarray   # 0-based interval index
+    flow: np.ndarray
+
+
+def _parsed(parse, text: str):
+    """``parse(text)``, or the ``ValueError`` it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return exc
+
+
+def _movement_label(label: str) -> str:
+    if not label:
+        raise ValueError("empty movement label")
+    return label
+
+
+class _Column:
+    """One text column's distinct stripped values, in order of first
+    appearance, each parsed once; each distinct raw value is stripped once."""
+
+    def __init__(self, parse) -> None:
+        self.parse = parse
+        self.values: list[str] = []
+        self.parsed: list = []          # parse(value), or its ValueError
+        self.failed: list[bool] = []
+        self._code: dict[str, int] = {}      # stripped value -> index
+        self._raw_code: dict[str, int] = {}  # raw value -> index
+
+    def codes(self, raw: list[str]) -> np.ndarray:
+        """The index of each raw value's stripped form, adding new values."""
+        for text in dict.fromkeys(raw):
+            if text in self._raw_code:
+                continue
+            value = text.strip()
+            if value not in self._code:
+                self._code[value] = len(self.values)
+                self.values.append(value)
+                self.parsed.append(_parsed(self.parse, value))
+                self.failed.append(isinstance(self.parsed[-1], ValueError))
+            self._raw_code[text] = self._code[value]
+        return np.fromiter(map(self._raw_code.__getitem__, raw), np.intp, len(raw))
+
+
+def _csv_fields(line: str) -> list[str] | csv.Error:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        return exc
+
+
+def _split_fields(lines: list[str]) -> tuple[list[list[str]], tuple[int, str] | None]:
+    """Split data lines into their four raw fields, as columns.
+
+    A line with three commas, no quote and no field over the csv module's
+    limit splits as ``str.split`` does; all such lines split in one call.
+    The others go through the csv module one at a time.  When a line is not
+    four CSV fields, the columns stop just before it and its index and error
+    are returned too.
+    """
+    simple = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) == 3
+    limit = csv.field_size_limit()
+    if '"' in "".join(lines) or max(map(len, lines), default=0) > limit:
+        simple &= np.array(['"' not in s and len(s) <= limit for s in lines], dtype=bool)
+    cells = np.empty((len(lines), 4), dtype=object)
+    if simple.any():
+        flat = ",".join(compress(lines, simple)).split(",")
+        cells[simple] = np.array(flat, dtype=object).reshape(-1, 4)
+    n, broken = len(lines), None
+    for i in np.flatnonzero(~simple):
+        fields = _csv_fields(lines[i])
+        if isinstance(fields, csv.Error):
+            n, broken = i, (i, f"malformed CSV row: {fields}")
+            break
+        if len(fields) != 4:
+            n, broken = i, (i, f"expected 4 fields, got {len(fields)}")
+            break
+        cells[i] = fields
+    return [cells[:n, k].tolist() for k in range(4)], broken
+
+
+def _parse_rows(path: Path, intervals_per_day: int) -> _Rows:
+    """Parse and validate the long-format CSV, a block of lines at a time.
+
+    Within a block each check runs over every row at once (dates, movements
+    and interval indices once per distinct value), and the error raised is
+    the one a row-by-row reader meets first: the earliest offending line,
+    and on it the first failing check in column order.  Reading stops at
+    the block holding that line.
+    """
+    dates, movements = _Column(day_of_week_tag), _Column(_movement_label)
+    intervals = _Column(int)
+    blocks = []          # (line numbers, day, movement, interval, flow) per block
     header_seen = False
+    error = None         # (line number, message) of the earliest offending line
+    first_lineno = 1
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                fields = next(csv.reader([line]))
-            except csv.Error as exc:
-                raise ValidationError(f"line {lineno}: malformed CSV row: {exc}") from exc
-            fields = [f.strip() for f in fields]
-            if not header_seen:
-                if tuple(f.lower() for f in fields) != CSV_HEADER:
-                    raise ValidationError(
-                        f"line {lineno}: expected header {','.join(CSV_HEADER)!r}, "
-                        f"got {line!r}"
-                    )
+        while error is None:
+            # A file iterator ends a line at \n, \r\n or a lone \r.
+            stripped = list(map(str.strip, islice(fh, _BLOCK_LINES)))
+            if not stripped:
+                break
+            keep = [i for i, s in enumerate(stripped) if s and s[0] != "#"]
+            lines = [stripped[i] for i in keep]
+            linenos = np.array(keep, dtype=np.int64) + first_lineno
+            first_lineno += len(stripped)
+            if lines and not header_seen:
+                header = _csv_fields(lines[0])
+                if isinstance(header, csv.Error):
+                    raise ValidationError(f"line {linenos[0]}: malformed CSV row: {header}")
+                if tuple(f.strip().lower() for f in header) != CSV_HEADER:
+                    raise ValidationError(f"line {linenos[0]}: expected header "
+                                          f"{','.join(CSV_HEADER)!r}, got {lines[0]!r}")
                 header_seen = True
-                continue
-            if len(fields) != 4:
-                raise ValidationError(
-                    f"line {lineno}: expected 4 fields, got {len(fields)}"
-                )
-            date_label, movement, interval_s, flow_s = fields
+                lines, linenos = lines[1:], linenos[1:]
+
+            (date_s, movement_s, interval_s, flow_s), broken = _split_fields(lines)
+            n = len(date_s)
+            day = dates.codes(date_s)
+            movement = movements.codes(movement_s)
+            interval_code = intervals.codes(interval_s)
+            index = np.array([v - 1 if not bad and 1 <= v <= intervals_per_day else -1
+                              for v, bad in zip(intervals.parsed, intervals.failed)],
+                             dtype=np.int64)
+            interval = index[interval_code]
+            # float() ignores surrounding whitespace, as the stripped field would.
             try:
-                day_of_week_tag(date_label)
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
-            if not movement:
-                raise ValidationError(f"line {lineno}: empty movement label")
-            try:
-                interval = int(interval_s)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"line {lineno}: bad interval_index {interval_s!r}"
-                ) from exc
-            if not (1 <= interval <= intervals_per_day):
-                raise ValidationError(
-                    f"line {lineno}: interval_index {interval} outside "
-                    f"[1, {intervals_per_day}]"
-                )
-            try:
-                flow = float(flow_s)
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: bad flow_vph {flow_s!r}") from exc
-            if not np.isfinite(flow):
-                raise ValidationError(f"line {lineno}: non-finite flow_vph")
-            if flow < 0:
-                raise ValidationError(f"line {lineno}: negative flow_vph {flow_s}")
-            day = cells.setdefault(date_label, {})
-            key = (movement, interval)
-            if key in day:
-                raise ValidationError(
-                    f"line {lineno}: duplicate entry for ({date_label}, {movement}, "
-                    f"{interval})"
-                )
-            day[key] = flow
-            observed.add(movement)
+                flow = np.fromiter(map(float, flow_s), float, n)
+                bad_flow = np.zeros(n, dtype=bool)
+            except ValueError:
+                parsed = [_parsed(float, text) for text in flow_s]
+                bad_flow = np.array([isinstance(v, ValueError) for v in parsed], dtype=bool)
+                flow = np.array([0.0 if bad else v for v, bad in zip(parsed, bad_flow)],
+                                dtype=float)
+
+            bad_interval = np.array(intervals.failed, dtype=bool)[interval_code]
+            checks = (
+                (np.array(dates.failed, dtype=bool)[day],
+                 lambda i: str(dates.parsed[day[i]])),
+                (np.array(movements.failed, dtype=bool)[movement],
+                 lambda i: str(movements.parsed[movement[i]])),
+                (bad_interval,
+                 lambda i: f"bad interval_index {intervals.values[interval_code[i]]!r}"),
+                (~bad_interval & (interval < 0),
+                 lambda i: f"interval_index {intervals.parsed[interval_code[i]]} outside "
+                           f"[1, {intervals_per_day}]"),
+                (bad_flow, lambda i: f"bad flow_vph {flow_s[i].strip()!r}"),
+                (~np.isfinite(flow), lambda i: "non-finite flow_vph"),
+                (flow < 0, lambda i: f"negative flow_vph {flow_s[i].strip()}"),
+            )
+            bad = np.logical_or.reduce([mask for mask, _ in checks])
+            if bad.any():
+                n = int(np.argmax(bad))
+                describe = next(describe for mask, describe in checks if mask[n])
+                error = (linenos[n], describe(n))
+            elif broken:
+                error = (linenos[broken[0]], broken[1])
+            blocks.append((linenos[:n], day[:n], movement[:n], interval[:n], flow[:n]))
     if not header_seen:
         raise ValidationError(f"{path}: empty file (missing header)")
-    return cells, observed
+
+    linenos, day, movement, interval, flow = (np.concatenate(c) for c in zip(*blocks))
+    # Every row read is valid: find the first repeated cell among them.
+    key = (day * len(movements.values) + movement) * intervals_per_day + interval
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeats.size:
+        i = int(repeats.min())
+        raise ValidationError(
+            f"line {linenos[i]}: duplicate entry for ({dates.values[day[i]]}, "
+            f"{movements.values[movement[i]]}, {interval[i] + 1})")
+    if error:
+        raise ValidationError(f"line {error[0]}: {error[1]}")
+    return _Rows(dates.values, movements.values, day, movement, interval, flow)
 
 
 def load_csv(
@@ -273,7 +419,7 @@ def load_csv(
 
     Days missing any (movement, interval) cell are dropped with a warning.
     Duplicate cells, negative flows, and malformed rows raise
-    :class:`ValidationError` with the offending line number.  Lines starting
+    :class:`ValidationError` naming the earliest offending line.  Lines starting
     with ``#`` are ignored.  Movements are ordered lexicographically unless an
     explicit ``movement_order`` is given (e.g. from a dataset sidecar), so the
     result does not depend on row order in the file.
@@ -283,35 +429,40 @@ def load_csv(
         raise ValidationError(f"interval_minutes={interval_minutes} does not divide a day")
     intervals_per_day = MINUTES_PER_DAY // interval_minutes
 
-    cells, observed = _parse_rows(path, intervals_per_day)
+    rows = _parse_rows(path, intervals_per_day)
+    observed = set(rows.movements)
 
     if movement_order is not None:
         movements = tuple(movement_order)
-        if set(movements) != observed or len(set(movements)) != len(movements):
+        _check_movement_labels(movements)
+        if set(movements) != observed:
             raise ValidationError(
                 "movement_order does not match the movements present in the file"
             )
     else:
         movements = tuple(sorted(observed))
 
+    # Cells are distinct, so a day is complete when it has every cell's row.
     expected = intervals_per_day * len(movements)
-    complete = {d: day for d, day in cells.items() if len(day) == expected}
-    dropped = sorted(set(cells) - set(complete))
+    complete = np.bincount(rows.day, minlength=len(rows.dates)) == expected
+    dropped = sorted(d for d, ok in zip(rows.dates, complete) if not ok)
     if dropped:
         warnings.warn(
             f"dropping {len(dropped)} incomplete day(s): {', '.join(dropped)}",
             stacklevel=2,
         )
-    if not complete:
+    if not complete.any():
         raise ValidationError(f"{path}: no complete days")
 
-    dates = sorted(complete)
+    dates = sorted(d for d, ok in zip(rows.dates, complete) if ok)
+    day_pos = {d: i for i, d in enumerate(dates)}
+    movement_pos = {mv: m for m, mv in enumerate(movements)}
+    row_day = np.array([day_pos.get(d, -1) for d in rows.dates])[rows.day]
+    row_col = (np.array([movement_pos[mv] for mv in rows.movements])[rows.movement]
+               * intervals_per_day + rows.interval)
+    keep = row_day >= 0
     flows = np.empty((len(dates), expected), dtype=float)
-    for i, d in enumerate(dates):
-        day = complete[d]
-        for m, movement in enumerate(movements):
-            for t in range(intervals_per_day):
-                flows[i, m * intervals_per_day + t] = day[(movement, t + 1)]
+    flows[row_day[keep], row_col[keep]] = rows.flow[keep]
     days = tuple(DayRecord(d, day_of_week_tag(d)) for d in dates)
     return FlowDataset(days=days, flows=flows, interval_minutes=interval_minutes,
                        movements=movements)

@@ -20,8 +20,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import artifact
+
+# Grid values per batch of windows in ``cost_table``: enough to amortize
+# numpy's per-call overhead, few enough that the kernel's temporaries stay in
+# a 2 MiB L2 cache (on a 2-core x86_64, a T=288, M=12 table took 1.3 s at
+# 1 << 15 and 2.2 s at 1 << 16).
+_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -135,46 +142,56 @@ def fit_value(x: np.ndarray, t_a: int, t_b: int, mu: np.ndarray,
     return float(np.sum(w * diff * diff))
 
 
-def _window_cost(window: np.ndarray, penalty: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-movement minimum of the asymmetric fit over one window.
+def _window_cost(windows: np.ndarray, penalty: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-movement minimum of the asymmetric fit over a batch of windows.
 
-    Returns (cost_per_movement, mu_per_movement) for a (n, M) window.  With
-    values sorted ascending, the candidate parameter for the breakpoint scan
-    with j values at or below it is a weighted average
+    ``windows`` is a C-contiguous (B, M, n) array: B windows of n intervals
+    each, one row per movement.  Returns (cost, mu), both (B, M).  With a
+    row's values sorted ascending, the candidate parameter for the
+    breakpoint scan with j values at or below it is a weighted average
     ``(sum_below + penalty * sum_above) / (j + penalty * (n - j))``; the
     candidate consistent with its own interval is the global minimizer.
+    Every sum runs along the contiguous interval axis, so a window's cost
+    depends neither on the memory layout of the grid it came from nor on
+    the other windows in the batch.
     """
-    n, m = window.shape
-    vals = np.sort(window, axis=0)
-    pref = np.vstack([np.zeros((1, m)), np.cumsum(vals, axis=0)])
-    total = pref[-1]
-    j = np.arange(n + 1, dtype=float)[:, None]
-    cand = (pref + penalty * (total - pref)) / (j + penalty * (n - j))
-    neg_inf = np.full((1, m), -np.inf)
-    pos_inf = np.full((1, m), np.inf)
-    lo = np.vstack([neg_inf, vals])
-    hi = np.vstack([vals, pos_inf])
-    valid = (cand >= lo) & (cand <= hi)
-    cols = np.arange(m)
-    pick = valid.argmax(axis=0)
-    mu = cand[pick, cols]
-    missing = ~valid.any(axis=0)
-    if np.any(missing):
+    b, m, n = windows.shape
+    vals = np.sort(windows, axis=-1)
+    pref = np.zeros((b, m, n + 1))
+    np.cumsum(vals, axis=-1, out=pref[..., 1:])
+    j = np.arange(n + 1, dtype=float)
+    cand = pref[..., -1:] - pref
+    cand *= penalty
+    cand += pref
+    cand /= j + penalty * (n - j)
+    # valid = (lo <= cand <= hi) with lo = [-inf, vals] and hi = [vals, inf].
+    valid = np.empty(cand.shape, dtype=bool)
+    np.less_equal(cand[..., :-1], vals, out=valid[..., :-1])
+    valid[..., -1] = cand[..., -1] <= np.inf
+    valid[..., 1:] &= cand[..., 1:] >= vals
+    valid[..., 0] &= cand[..., 0] >= -np.inf
+    pick = valid.argmax(axis=-1)
+    mu = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
+    for row, col in zip(*np.nonzero(~valid.any(axis=-1))):
         # Floating-point corner case: no candidate lands in its own interval.
-        # Fall back to evaluating every clipped candidate for those columns.
-        for col in np.nonzero(missing)[0]:
-            best_cost, best_mu = np.inf, 0.0
-            for b in np.clip(cand[:, col], lo[:, col], hi[:, col]):
-                if not np.isfinite(b):
-                    continue
-                d = window[:, col] - b
-                cost = float(np.sum(np.where(d > 0, penalty, 1.0) * d * d))
-                if cost < best_cost:
-                    best_cost, best_mu = cost, float(b)
-            mu[col] = best_mu
-    diff = window - mu
-    w = np.where(diff > 0, penalty, 1.0)
-    return np.sum(w * diff * diff, axis=0), mu
+        # Fall back to evaluating every clipped candidate for that movement.
+        lo = np.concatenate([[-np.inf], vals[row, col]])
+        hi = np.concatenate([vals[row, col], [np.inf]])
+        best_cost, best_mu = np.inf, 0.0
+        for c in np.clip(cand[row, col], lo, hi):
+            if not np.isfinite(c):
+                continue
+            d = windows[row, col] - c
+            cost = float(np.sum(np.where(d > 0, penalty, 1.0) * d * d))
+            if cost < best_cost:
+                best_cost, best_mu = cost, float(c)
+        mu[row, col] = best_mu
+    # Weighted squares w * diff * diff, w = penalty above mu and 1 below.
+    diff = np.subtract(windows, mu[..., None], out=vals)
+    sq = diff.copy()
+    np.multiply(sq, penalty, out=sq, where=diff > 0)
+    sq *= diff
+    return np.sum(sq, axis=-1), mu
 
 
 def segment_cost(x: np.ndarray, t_a: int, t_b: int,
@@ -189,19 +206,29 @@ def segment_cost(x: np.ndarray, t_a: int, t_b: int,
         raise ValueError(f"empty window [{t_a}, {t_b}]")
     if t_a < 1 or t_b > x.shape[0]:
         raise ValueError(f"window [{t_a}, {t_b}] outside the grid of {x.shape[0]} rows")
-    costs, mu = _window_cost(x[t_a - 1 : t_b], cfg.overflow_penalty)
-    return float(costs.sum()), mu
+    window = np.ascontiguousarray(x[t_a - 1 : t_b].T)[None]
+    costs, mu = _window_cost(window, cfg.overflow_penalty)
+    return float(costs[0].sum()), mu[0]
 
 
 def cost_table(x: np.ndarray, cfg: FitConfig) -> np.ndarray:
-    """Precompute ``segment_cost`` for every window: entry [a, b] (1-based)."""
+    """Precompute ``segment_cost`` for every window: entry [a, b] (1-based).
+
+    Windows of one length are scored together, in batches of about
+    ``_CHUNK_ELEMENTS`` grid values, so working memory stays bounded.
+    """
     x = _check_grid(x)
-    t = x.shape[0]
+    t, m = x.shape
     table = np.full((t + 1, t + 1), np.inf)
-    for a in range(1, t + 1):
-        for b in range(a, t + 1):
-            costs, _ = _window_cost(x[a - 1 : b], cfg.overflow_penalty)
-            table[a, b] = costs.sum()
+    for n in range(1, t + 1):
+        # (T - n + 1, M, n) view: starts[a, m] is movement m over rows a .. a+n-1.
+        starts = sliding_window_view(x.T, n, axis=1).transpose(1, 0, 2)
+        step = max(1, _CHUNK_ELEMENTS // max(1, m * n))
+        for a0 in range(0, t - n + 1, step):
+            batch = np.ascontiguousarray(starts[a0 : a0 + step])
+            costs, _ = _window_cost(batch, cfg.overflow_penalty)
+            a = np.arange(a0 + 1, a0 + 1 + len(batch))
+            table[a, a + n - 1] = costs.sum(axis=-1)
     return table
 
 

@@ -1,12 +1,16 @@
 """Slow reference implementations used by unit and acceptance tests."""
 
+import csv
 import itertools
+import warnings
 
 import numpy as np
 
 from flowcast import FitConfig, fit_value, segment_cost
 from flowcast.delay import (_GOLDEN, _MAX_SWEEPS, _SWEEP_TOL, GreenSplits,
                             movement_delay)
+from flowcast.flowdata import (CSV_HEADER, DayRecord, FlowDataset, ValidationError,
+                               _split_grid, day_of_week_tag)
 
 
 def brute_force_plan(x, n_periods, cfg):
@@ -161,3 +165,189 @@ def scalar_green_splits(mu, ic):
             saturated = True
             break
     return GreenSplits(fractions=g, saturated=saturated, objective=float(obj))
+
+
+# ------------------------------------------------------------ segmentation
+
+def window_cost(window: np.ndarray, penalty: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-movement minimum of the asymmetric fit over one window: the
+    loop body that ``segmentation._window_cost`` batches.
+
+    Returns (cost_per_movement, mu_per_movement) for a (n, M) window.  With
+    values sorted ascending, the candidate parameter for the breakpoint scan
+    with j values at or below it is a weighted average
+    ``(sum_below + penalty * sum_above) / (j + penalty * (n - j))``; the
+    candidate consistent with its own interval is the global minimizer.
+    """
+    n, m = window.shape
+    vals = np.sort(window, axis=0)
+    pref = np.vstack([np.zeros((1, m)), np.cumsum(vals, axis=0)])
+    total = pref[-1]
+    j = np.arange(n + 1, dtype=float)[:, None]
+    cand = (pref + penalty * (total - pref)) / (j + penalty * (n - j))
+    neg_inf = np.full((1, m), -np.inf)
+    pos_inf = np.full((1, m), np.inf)
+    lo = np.vstack([neg_inf, vals])
+    hi = np.vstack([vals, pos_inf])
+    valid = (cand >= lo) & (cand <= hi)
+    cols = np.arange(m)
+    pick = valid.argmax(axis=0)
+    mu = cand[pick, cols]
+    missing = ~valid.any(axis=0)
+    if np.any(missing):
+        # Floating-point corner case: no candidate lands in its own interval.
+        # Fall back to evaluating every clipped candidate for those columns.
+        for col in np.nonzero(missing)[0]:
+            best_cost, best_mu = np.inf, 0.0
+            for b in np.clip(cand[:, col], lo[:, col], hi[:, col]):
+                if not np.isfinite(b):
+                    continue
+                d = window[:, col] - b
+                cost = float(np.sum(np.where(d > 0, penalty, 1.0) * d * d))
+                if cost < best_cost:
+                    best_cost, best_mu = cost, float(b)
+            mu[col] = best_mu
+    diff = window - mu
+    w = np.where(diff > 0, penalty, 1.0)
+    return np.sum(w * diff * diff, axis=0), mu
+
+
+def per_window_cost_table(x, cfg):
+    """The cost table one window at a time: the parity reference for
+    ``segmentation.cost_table``.  The grid is taken in column-major order, so
+    each movement's window is contiguous and numpy sums it pairwise, the
+    summation order the batched kernel uses for every layout."""
+    x = np.asfortranarray(x, dtype=float)
+    t = x.shape[0]
+    table = np.full((t + 1, t + 1), np.inf)
+    for a in range(1, t + 1):
+        for b in range(a, t + 1):
+            costs, _ = window_cost(x[a - 1 : b], cfg.overflow_penalty)
+            table[a, b] = costs.sum()
+    return table
+
+
+# ------------------------------------------------------------ CSV ingest
+
+def rowwise_parse_rows(path, intervals_per_day):
+    """Parse and validate the long-format CSV one row at a time, returning
+    per-day cell maps: the parity reference for ``flowdata._parse_rows``."""
+    cells: dict[str, dict[tuple[str, int], float]] = {}
+    observed: set[str] = set()
+    header_seen = False
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                fields = next(csv.reader([line]))
+            except csv.Error as exc:
+                raise ValidationError(f"line {lineno}: malformed CSV row: {exc}") from exc
+            fields = [f.strip() for f in fields]
+            if not header_seen:
+                if tuple(f.lower() for f in fields) != CSV_HEADER:
+                    raise ValidationError(
+                        f"line {lineno}: expected header {','.join(CSV_HEADER)!r}, "
+                        f"got {line!r}"
+                    )
+                header_seen = True
+                continue
+            if len(fields) != 4:
+                raise ValidationError(
+                    f"line {lineno}: expected 4 fields, got {len(fields)}"
+                )
+            date_label, movement, interval_s, flow_s = fields
+            try:
+                day_of_week_tag(date_label)
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from exc
+            if not movement:
+                raise ValidationError(f"line {lineno}: empty movement label")
+            try:
+                interval = int(interval_s)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"line {lineno}: bad interval_index {interval_s!r}"
+                ) from exc
+            if not (1 <= interval <= intervals_per_day):
+                raise ValidationError(
+                    f"line {lineno}: interval_index {interval} outside "
+                    f"[1, {intervals_per_day}]"
+                )
+            try:
+                flow = float(flow_s)
+            except ValueError as exc:
+                raise ValidationError(f"line {lineno}: bad flow_vph {flow_s!r}") from exc
+            if not np.isfinite(flow):
+                raise ValidationError(f"line {lineno}: non-finite flow_vph")
+            if flow < 0:
+                raise ValidationError(f"line {lineno}: negative flow_vph {flow_s}")
+            day = cells.setdefault(date_label, {})
+            key = (movement, interval)
+            if key in day:
+                raise ValidationError(
+                    f"line {lineno}: duplicate entry for ({date_label}, {movement}, "
+                    f"{interval})"
+                )
+            day[key] = flow
+            observed.add(movement)
+    if not header_seen:
+        raise ValidationError(f"{path}: empty file (missing header)")
+    return cells, observed
+
+
+def rowwise_load_csv(path, interval_minutes, movement_order=None):
+    """``flowdata.load_csv`` on the row-by-row parser: the parity reference
+    for the column-wise one."""
+    intervals_per_day = 1440 // interval_minutes
+    cells, observed = rowwise_parse_rows(path, intervals_per_day)
+    if movement_order is not None:
+        movements = tuple(movement_order)
+        if set(movements) != observed or len(set(movements)) != len(movements):
+            raise ValidationError(
+                "movement_order does not match the movements present in the file"
+            )
+    else:
+        movements = tuple(sorted(observed))
+    expected = intervals_per_day * len(movements)
+    complete = {d: day for d, day in cells.items() if len(day) == expected}
+    dropped = sorted(set(cells) - set(complete))
+    if dropped:
+        warnings.warn(
+            f"dropping {len(dropped)} incomplete day(s): {', '.join(dropped)}",
+            stacklevel=2,
+        )
+    if not complete:
+        raise ValidationError(f"{path}: no complete days")
+    dates = sorted(complete)
+    flows = np.empty((len(dates), expected), dtype=float)
+    for i, d in enumerate(dates):
+        day = complete[d]
+        for m, movement in enumerate(movements):
+            for t in range(intervals_per_day):
+                flows[i, m * intervals_per_day + t] = day[(movement, t + 1)]
+    days = tuple(DayRecord(d, day_of_week_tag(d)) for d in dates)
+    return FlowDataset(days=days, flows=flows, interval_minutes=interval_minutes,
+                       movements=movements)
+
+
+def rowwise_read_sample(path, ds, spec):
+    """``cli._read_sample`` on the row-by-row parser."""
+    cells, observed = rowwise_parse_rows(path, ds.intervals_per_day)
+    if len(cells) != 1:
+        raise ValidationError(f"sample file must hold exactly one date, got {len(cells)}")
+    date_label, day = next(iter(cells.items()))
+    missing = set(ds.movements) - observed
+    if missing:
+        raise ValidationError(f"sample is missing movements: {sorted(missing)}")
+    grid = np.zeros((1, ds.n_movements, ds.intervals_per_day))
+    for m, movement in enumerate(ds.movements):
+        for t in range(1, spec.cutoff_index + 1):
+            if (movement, t) not in day:
+                raise ValidationError(
+                    f"sample is missing ({movement}, interval {t})"
+                )
+            grid[0, m, t - 1] = day[(movement, t)]
+    z, _ = _split_grid(grid, spec)
+    return date_label, z[0]

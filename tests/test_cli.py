@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -278,3 +279,43 @@ def test_readme_config_block_is_accepted(tmp_path):
                      movements=movement_labels(12))
     ic = _intersection_from_config(ds, json.loads(block))
     assert ic.cycle_seconds == 120 and ic.n_phases == 4
+
+
+# SHA-256 of the sorted ``sha256sum``-style listing of the tree the README
+# command sequence writes (small synth config, relative paths), as recorded
+# before the column-wise CSV parser and the batched cost table replaced their
+# per-row and per-window loops.  A same-bytes refactor must keep it.
+README_TREE_SHA256 = "1e5a37257a456dce5f0184b5a6b080f1d147d5039d0f405cebbde11c67630146"
+
+
+def test_readme_sequence_tree_is_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_synth_config(Path("config.json"))
+    inp = ["--input", "runs/data/flows.csv"]
+    for argv in (
+            ["synth", "--seed", "7", "--config", "config.json", "--out-dir", "runs/data"],
+            ["pca", *inp, "--n-components", "2", "--out-dir", "runs/pca"],
+            ["predict", *inp, "--date", "2024-01-04", "--n-components", "2",
+             "--out-dir", "runs/pred"],
+            ["segment", *inp, "--segments", "3", "--out-dir", "runs/plan"],
+            ["loocv", *inp, "--n-components", "2", "--out-dir", "runs/cv"],
+            ["control", *inp, "--segments", "3", "--window", "1", "--date", "2024-01-05",
+             "--n-components", "2", "--out-dir", "runs/ctl"]):
+        assert main(argv) == 0, argv
+    listing = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}\n"
+                      for p in sorted(Path("runs").rglob("*")) if p.is_file())
+    assert hashlib.sha256(listing.encode()).hexdigest() == README_TREE_SHA256, listing
+
+
+def test_sidecar_label_csv_cannot_read_back_exits_1(dataset_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "flows.csv").write_bytes((dataset_dir / "flows.csv").read_bytes())
+    meta = json.loads((dataset_dir / "flows.meta.json").read_text())
+    meta["movements"][0] = " " + meta["movements"][0]
+    (data / "flows.meta.json").write_text(json.dumps(meta))
+    rc = main(["pca", "--input", str(data / "flows.csv"), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(meta["movements"][0]) in err
+    assert err.count("\n") == 1

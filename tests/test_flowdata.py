@@ -1,5 +1,9 @@
+import csv
+import io
 import json
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,12 +23,17 @@ from flowcast import (
     split_at,
     vector_to_grid,
 )
+from flowcast import flowdata
+from flowcast.cli import _read_sample
 from flowcast.flowdata import (
+    CSV_HEADER,
     DayRecord,
     day_of_week_tag,
     save_dataset,
     split_day_vector,
 )
+
+from _oracles import rowwise_load_csv, rowwise_read_sample
 
 
 def write_rows(path, rows, header="date,movement,interval_index,flow_vph"):
@@ -289,3 +298,162 @@ def test_split_spec_validation():
 def test_mean_profile_matches_numpy(noisy):
     ds, _ = noisy
     assert np.array_equal(mean_profile(ds), ds.flows.mean(axis=0))
+
+
+# ---------------------------------------------------------------- ingest parity
+#
+# The column-wise parser against the row-by-row one it replaced: equal flows
+# bit for bit, equal warnings, and on bad input the same error message.  The
+# parser reads the file in blocks of ``_BLOCK_LINES`` lines; small blocks put
+# the header, duplicates and bad rows in any block, or across two.
+
+LABELS = ("NB T", "SB LT", "NB,L", 'S"B', '"q"', "#mv", "EB " + "x" * 70 + ",long")
+DATES = ("2024-01-01", "2024-01-02", "2024-02-29", "2023-12-31")
+CORRUPTIONS = ("date", "other-date", "no-movement", "interval", "interval-range",
+               "flow", "flow-nan", "flow-negative", "duplicate", "drop", "short",
+               "long", "open-quote", "new-movement")
+
+
+def csv_line(fields):
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue().rstrip("\r\n")
+
+
+@st.composite
+def flow_files(draw, one_date=False):
+    """(text, interval_minutes, movements) of a small long-format CSV with
+    shuffled rows, comments, blank lines, quoted labels and up to two
+    corrupted rows."""
+    minutes = draw(st.sampled_from([360, 480, 720]))
+    t = 1440 // minutes
+    movements = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
+    dates = draw(st.lists(st.sampled_from(DATES), min_size=1, max_size=1 if one_date else 3,
+                          unique=True))
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for d in dates:
+        for mv in movements:
+            for k in range(1, t + 1):
+                flow = float(r.uniform(0, 2000)) * float(r.choice([1.0, 1e-7, 1e7]))
+                text = r.choice([repr(flow), f"{flow:.3e}", str(int(flow)),
+                                 f" {flow!r} ", "0", "-0.0"])
+                interval = r.choice([str(k), f" {k}", f"+{k}"])
+                pad = str(r.choice(["", " ", "\t"]))
+                rows.append([pad + d, mv if '"' in mv or "," in mv else mv + pad,
+                             interval, text])
+    rows = [rows[i] for i in r.permutation(len(rows))]
+    lines = [csv_line(row) for row in rows]
+    for kind in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2)):
+        i = int(r.integers(len(rows)))
+        row = list(rows[i])
+        if kind == "date":
+            row[0] = str(r.choice(["2024-02-30", "x", "", "2024/01/01"]))
+        elif kind == "other-date":
+            row[0] = "2024-03-01"
+        elif kind == "no-movement":
+            row[1] = ""
+        elif kind == "interval":
+            row[2] = str(r.choice(["abc", "1.5", "", " 2x "]))
+        elif kind == "interval-range":
+            row[2] = str(r.choice([0, -1, t + 1, 10 ** 30]))
+        elif kind == "flow":
+            row[3] = str(r.choice(["abc", "", "1,5"]))
+        elif kind == "flow-nan":
+            row[3] = str(r.choice(["nan", "inf", "-inf"]))
+        elif kind == "flow-negative":
+            row[3] = "-2.5"
+        elif kind == "duplicate":
+            row[:3] = rows[int(r.integers(len(rows)))][:3]
+        elif kind == "new-movement":
+            row[1] = "ZZ"
+        if kind == "drop":
+            lines[i] = ""
+        elif kind == "short":
+            lines[i] = csv_line(row[:3])
+        elif kind == "long":
+            lines[i] = csv_line(row + ["7"])
+        elif kind == "open-quote":
+            lines[i] = f'{row[0]},"{row[1]},{row[2]},{row[3]}'
+        else:
+            lines[i] = csv_line(row)
+    header = str(r.choice([",".join(CSV_HEADER), "Date, Movement ,interval_index,FLOW_VPH"]))
+    lines.insert(0, header)
+    for _ in range(int(r.integers(0, 4))):
+        lines.insert(int(r.integers(len(lines) + 1)), str(r.choice(["# note", "", "   ", "#"])))
+    end = str(r.choice(["\n", "\r\n", "\r"]))
+    return end.join(lines) + end * int(r.integers(0, 2)), minutes, movements
+
+
+def outcome(fn, *args):
+    """Result bits, or the error message, plus the warnings on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except ValidationError as exc:
+            result = ("error", str(exc))
+    if isinstance(result, FlowDataset):
+        result = (result.movements, result.days, result.flows.view(np.uint64).tobytes())
+    elif isinstance(result, tuple) and result[0] != "error":
+        result = (result[0], result[1].view(np.uint64).tobytes())
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest") / "flows.csv"
+
+
+BLOCK_LINES = st.sampled_from([1, 2, 3, 7, flowdata._BLOCK_LINES])
+
+
+@given(flow_files(), st.booleans(), BLOCK_LINES)
+@settings(max_examples=200, deadline=None)
+def test_load_csv_matches_row_by_row_parser(scratch_csv, case, explicit_order, block):
+    text, minutes, movements = case
+    scratch_csv.write_text(text, encoding="utf-8", newline="")
+    order = tuple(reversed(movements)) if explicit_order else None
+    with mock.patch.object(flowdata, "_BLOCK_LINES", block):
+        got = outcome(load_csv, scratch_csv, minutes, order)
+    assert got == outcome(rowwise_load_csv, scratch_csv, minutes, order)
+
+
+@given(flow_files(one_date=True), st.data(), BLOCK_LINES)
+@settings(max_examples=150, deadline=None)
+def test_read_sample_matches_row_by_row_parser(scratch_csv, case, data, block):
+    text, minutes, movements = case
+    scratch_csv.write_text(text, encoding="utf-8", newline="")
+    t = 1440 // minutes
+    ds = FlowDataset(days=(DayRecord("2024-01-01", "Mon"), DayRecord("2024-01-02", "Tue")),
+                     flows=np.zeros((2, t * len(movements))), interval_minutes=minutes,
+                     movements=movements)
+    cutoff = data.draw(st.integers(1, t - 1))
+    spec = SplitSpec(cutoff_index=cutoff, predict_from=cutoff + 1, predict_to=t)
+    with mock.patch.object(flowdata, "_BLOCK_LINES", block):
+        got = outcome(_read_sample, scratch_csv, ds, spec)
+    assert got == outcome(rowwise_read_sample, scratch_csv, ds, spec)
+
+
+@pytest.mark.parametrize("label", ["", " NB", "NB ", "\tNB", "NB\nT", "NB\rT"])
+def test_dataset_rejects_labels_csv_cannot_read_back(label):
+    with pytest.raises(ValidationError, match=re.escape(repr(label))):
+        FlowDataset(days=(DayRecord("2024-03-04", "Mon"),), flows=np.ones((1, 8)),
+                    interval_minutes=360, movements=("A", label))
+
+
+def test_dataset_rejects_repeated_labels():
+    with pytest.raises(ValidationError, match="'A' repeats"):
+        FlowDataset(days=(DayRecord("2024-03-04", "Mon"),), flows=np.ones((1, 12)),
+                    interval_minutes=360, movements=("A", "B", "A"))
+
+
+def test_labels_with_commas_and_quotes_round_trip(tmp_path):
+    ds = FlowDataset(days=(DayRecord("2024-03-04", "Mon"), DayRecord("2024-03-05", "Tue")),
+                     flows=np.arange(24.0).reshape(2, 12), interval_minutes=360,
+                     movements=("NB,L", 'S"B', '"q"'))
+    csv_path, meta_path = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    save_dataset(ds, csv_path, meta_path)
+    back = load_dataset(csv_path, meta_path)
+    assert back.movements == ds.movements
+    assert np.array_equal(back.flows, ds.flows)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcast import (
@@ -13,9 +13,10 @@ from flowcast import (
     optimal_segmentation,
     segment_cost,
 )
+from flowcast import segmentation
 from flowcast.segmentation import plan_from_json, plan_to_json
 
-from _oracles import brute_force_plan, grid_minimize_1d
+from _oracles import brute_force_plan, grid_minimize_1d, per_window_cost_table
 
 CFG2 = FitConfig(overflow_penalty=2.0)
 
@@ -111,6 +112,70 @@ def test_cost_table_matches_segment_cost(rng):
     for a, b in [(1, 1), (1, 10), (3, 7), (10, 10), (2, 9)]:
         assert table[a, b] == segment_cost(x, a, b, CFG2)[0]
     assert np.isinf(table[5, 4])
+
+
+def test_cost_is_independent_of_grid_layout(rng):
+    x = rng.uniform(0, 400, size=(96, 4))
+    layouts = (np.ascontiguousarray(x), np.asfortranarray(x))
+    tables = [cost_table(g, CFG2) for g in layouts]
+    assert np.array_equal(tables[0], tables[1])
+    for a in range(1, 97):
+        for b in range(a, 97):
+            (c_cost, c_mu), (f_cost, f_mu) = (segment_cost(g, a, b, CFG2) for g in layouts)
+            assert c_cost == f_cost == tables[0][a, b]
+            assert np.array_equal(c_mu, f_mu)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@st.composite
+def grids(draw):
+    """Random, tied (small integers) and near-tied (a few ulps apart) grids
+    in either memory layout."""
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(1, 14)), draw(st.integers(1, 4)))
+    kind = draw(st.sampled_from(["random", "tied", "near-tied"]))
+    if kind == "random":
+        x = r.uniform(0, 500, size=shape)
+    elif kind == "tied":
+        x = r.integers(0, 3, size=shape).astype(float)
+    else:
+        base = r.uniform(1.0, 1e6, size=shape[1])
+        x = base + r.integers(-3, 4, size=shape) * np.spacing(base)
+    return np.asfortranarray(x) if draw(st.booleans()) else np.ascontiguousarray(x)
+
+
+NEAR_TIE = 123456.789 + np.array([[-3.0], [-1.0], [0.0]]) * np.spacing(123456.789)
+
+
+@given(grids(), st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(1.0, 8.0)))
+@example(NEAR_TIE, 3.0)  # no candidate lands in its own interval: the fallback
+@settings(max_examples=150, deadline=None)
+def test_cost_table_matches_per_window_oracle(x, penalty):
+    cfg = FitConfig(overflow_penalty=penalty)
+    assert np.array_equal(bits(cost_table(x, cfg)), bits(per_window_cost_table(x, cfg)))
+
+
+def test_cost_table_batches_stay_within_the_chunk_budget(rng, monkeypatch):
+    x = rng.uniform(0, 50, size=(30, 3))
+    whole = cost_table(x, CFG2)
+    kernel = segmentation._window_cost
+    sizes = []
+
+    def spy(windows, penalty):
+        sizes.append(windows.shape)
+        return kernel(windows, penalty)
+
+    monkeypatch.setattr(segmentation, "_window_cost", spy)
+    for budget in (1, 40, 500):
+        monkeypatch.setattr(segmentation, "_CHUNK_ELEMENTS", budget)
+        sizes.clear()
+        assert np.array_equal(bits(cost_table(x, CFG2)), bits(whole))
+        # one window per batch when a window alone exceeds the budget
+        assert all(b == 1 or b * m * n <= budget for b, m, n in sizes)
+        assert sum(b for b, _, _ in sizes) == 30 * 31 // 2
 
 
 def test_single_period_plan(rng):
