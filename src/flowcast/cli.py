@@ -375,7 +375,7 @@ def cmd_loocv(args) -> int:
 # ---------------------------------------------------------------- control
 
 def _intersection_from_config(ds: FlowDataset, config: dict) -> IntersectionConfig:
-    keys = [f.name for f in fields(IntersectionConfig) if f.name != "n_movements"]
+    keys = [f.name for f in fields(IntersectionConfig) if f.init and f.name != "n_movements"]
     kwargs = _config_block(config, "intersection", keys)
     kwargs.setdefault("analysis_period_hours", ds.interval_minutes / 60.0)
     with _typed_values("intersection"):

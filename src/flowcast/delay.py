@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,10 @@ class IntersectionConfig:
     ``phases`` maps each phase to the movement indices it serves; every
     movement must appear in exactly one phase.  ``min_green_fraction`` and
     ``saturation_flow`` broadcast from scalars.
+
+    Each instance memoizes the greens of the plan rows ``simulate_day`` has
+    solved, keyed by the row's bytes; it takes no part in equality or repr,
+    and ``dataclasses.replace`` starts a copy with an empty memo.
     """
 
     phases: tuple[tuple[int, ...], ...]
@@ -54,6 +58,8 @@ class IntersectionConfig:
     min_green_fraction: np.ndarray = 0.07
     poisson_inflation: float = 1.10
     analysis_period_hours: float = 0.25
+    _plan_greens: dict[bytes, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         phases = tuple(tuple(int(m) for m in p) for p in self.phases)
@@ -288,16 +294,28 @@ def _trace(day: np.ndarray, greens: np.ndarray, ic: IntersectionConfig) -> Delay
 def simulate_day(day_grid: np.ndarray, plan, ic: IntersectionConfig) -> DelayTrace:
     """Evaluate a plan (nominal or predictive) over one day of measured flows.
 
-    Splits are computed once per period from its parameter vector; each
-    interval contributes ``sum_m flow_m * d_m / 3600`` to the rate.  The total
-    is exactly ``sum(rates) * analysis_period_hours``.
+    Splits are computed once per period from its parameter vector (clipped
+    at zero); each interval contributes ``sum_m flow_m * d_m / 3600`` to the
+    rate.  The total is exactly ``sum(rates) * analysis_period_hours``.  Only
+    rows missing from ``ic``'s memo are solved, in one batch: a row's greens
+    do not depend on the rows that share its batch, so a memo hit is exact.
+    Plan rows recur (the nominal plan on every day, its rows in a
+    segmentation-only plan); measured rows do not, so ``lower_bound_delay``
+    and ``green_splits`` solve every time.
     """
     day = np.asarray(day_grid, dtype=float)
     t_total = plan.n_intervals
     if day.shape != (t_total, ic.n_movements) or plan.params.shape[1:] != day.shape[1:]:
         raise ValueError(f"day grid shape {day.shape} or plan params shape "
                          f"{plan.params.shape} does not fit ({t_total}, {ic.n_movements})")
-    g, _ = _solve_batch(np.maximum(plan.params, 0.0), ic)
+    rows = np.maximum(plan.params, 0.0)
+    keys = [row.tobytes() for row in rows]
+    memo = ic._plan_greens
+    missing = {k: i for i, k in enumerate(keys) if k not in memo}
+    if missing:
+        g, _ = _solve_batch(rows[list(missing.values())], ic)
+        memo.update(zip(missing, g))
+    g = np.stack([memo[k] for k in keys])
     return _trace(day, np.repeat(g, [b - a + 1 for a, b in plan.periods()], axis=0), ic)
 
 

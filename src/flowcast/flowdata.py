@@ -32,11 +32,16 @@ class ValidationError(ValueError):
 
 
 def day_of_week_tag(date_label: str) -> str:
-    """Return the three-letter weekday tag ("Mon".."Sun") for an ISO date."""
+    """Return the three-letter weekday tag ("Mon".."Sun") for an ISO date
+    written YYYY-MM-DD."""
     try:
         d = _date.fromisoformat(date_label)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad date label {date_label!r}: {exc}") from exc
+    if d.isoformat() != date_label:
+        # fromisoformat also reads forms such as 20240101 or 2024-W01-1,
+        # which sort differently from the dates they name.
+        raise ValidationError(f"bad date label {date_label!r}: not YYYY-MM-DD")
     return DOW_TAGS[d.weekday()]
 
 
@@ -72,6 +77,21 @@ def _check_movement_labels(labels) -> None:
         seen.add(label)
 
 
+def _check_days(days) -> None:
+    """Reject day records that ``save_dataset`` could write but
+    ``load_dataset`` would not read back as they are: it derives each tag
+    from the date and sorts the days."""
+    previous = None
+    for rec in days:
+        tag = day_of_week_tag(rec.date)
+        if rec.day_of_week != tag:
+            raise ValidationError(
+                f"day {rec.date}: weekday tag {rec.day_of_week!r} should be {tag!r}")
+        if previous is not None and rec.date <= previous:
+            raise ValidationError(f"day {rec.date} does not come after day {previous}")
+        previous = rec.date
+
+
 @dataclass(frozen=True)
 class DayRecord:
     """One recorded day: ISO date label plus derived weekday tag."""
@@ -86,7 +106,8 @@ class FlowDataset:
 
     Attributes
     ----------
-    days : tuple of DayRecord, sorted by date
+    days : tuple of DayRecord, YYYY-MM-DD dates strictly increasing, each
+        tagged with its own weekday
     flows : (D, T*M) float array, non-negative and finite
     interval_minutes : length of one recording interval
     movements : movement labels, one per column block
@@ -99,6 +120,7 @@ class FlowDataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "days", tuple(self.days))
+        _check_days(self.days)
         object.__setattr__(self, "movements", tuple(str(m) for m in self.movements))
         _check_movement_labels(self.movements)
         flows = np.array(self.flows, dtype=float)

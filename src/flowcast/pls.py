@@ -177,38 +177,44 @@ def _power_leading_score(kz: np.ndarray, ky: np.ndarray,
     """Leading eigenvector of ``kz @ ky`` by power iteration.
 
     Starts from the first canonical basis vector; restarts once from a fixed
-    seeded random vector if the iteration stagnates (no convergence, or the
-    eigenvalue estimate collapses to zero).  ``tiny`` is an absolute floor for
-    iterate norms, derived from the *undeflated* kernels so that deflation
-    residue (float junk left after projecting a direction out) cannot pass as
-    signal.  Returns (vector, eigenvalue), or (None, 0.0) when no direction
-    with positive eigenvalue exists.
+    seeded random vector if the iteration stagnates (the iterate collapses to
+    zero, or ``_POWER_MAX_ITER`` iterations pass without convergence), and
+    warns if the restart too runs out of iterations.  ``tiny`` is an absolute
+    floor for iterate norms, derived from the *undeflated* kernels so that
+    deflation residue (float junk left after projecting a direction out)
+    cannot pass as signal.  Returns (vector, eigenvalue), or (None, 0.0) when
+    no direction with positive eigenvalue exists.
     """
     d = kz.shape[0]
 
     def run(v0):
-        v = v0
+        """(v, eigenvalue, capped); v is None when the iterate collapses to zero."""
+        w = kz @ (ky @ v0)
         lam_prev = np.inf
         for _ in range(_POWER_MAX_ITER):
-            w = kz @ (ky @ v)
             norm = np.linalg.norm(w)
             if norm <= tiny:
-                return None, 0.0, True
+                return None, 0.0, False
             v = w / norm
-            lam = float(v @ (kz @ (ky @ v)))
+            w = kz @ (ky @ v)  # the eigenvalue's matvec is the next iterate's
+            lam = float(v @ w)
             if abs(lam - lam_prev) <= _POWER_TOL * max(1.0, abs(lam)):
                 return v, lam, False
             lam_prev = lam
-        return v, lam_prev, True  # did not converge: stagnation
+        return v, lam_prev, True
 
     v0 = np.zeros(d)
     v0[0] = 1.0
-    v, lam, stagnated = run(v0)
-    if stagnated:
+    v, lam, capped = run(v0)
+    if v is None or capped:
         rng = np.random.default_rng(_RESTART_SEED)
         v0 = rng.standard_normal(d)
         v0 /= np.linalg.norm(v0)
-        v2, lam2, _ = run(v0)
+        v2, lam2, capped = run(v0)
+        if capped:
+            warnings.warn(f"power iteration did not converge in {_POWER_MAX_ITER} "
+                          f"iterations, also after its restart", RuntimeWarning,
+                          stacklevel=3)
         if v2 is not None and (v is None or lam2 >= lam):
             v, lam = v2, lam2
     if v is None or lam <= tiny:

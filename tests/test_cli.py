@@ -237,6 +237,7 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
     for command, block, key in (
             ("synth", {"synth": {"seeed": 3}}, "seeed"),  # unknown key
             ("control", {"intersection": {"cycle": 100}}, "cycle"),
+            ("control", {"intersection": {"_plan_greens": {}}}, "_plan_greens"),  # not a setting
             ("synth", {"synth": {"n_days": "x"}}, "'synth'"),  # wrong type
             ("control", {"intersection": {"cycle_seconds": "x"}}, "'intersection'"),
             ("control", {"intersection": {"min_green_fraction": 0.0}}, "min_green")):

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowcast import (
     ControllerConfig,
@@ -287,3 +292,50 @@ def test_predictive_plan_validates_like_a_segmentation_plan():
         PredictivePlan(switch_times=(16, 8), params=np.zeros((3, 2)), **kwargs)
     with pytest.raises(ValueError, match="parameter vectors"):
         PredictivePlan(switch_times=(8, 16), params=np.zeros((2, 2)), **kwargs)
+
+
+@st.composite
+def controller_cases(draw):
+    """A nominal plan whose switch windows do not overlap, a measured day and
+    a fixed prediction profile (the day itself or another one)."""
+    h = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 3))
+    middle = draw(st.lists(st.integers(2 * h + 1, 2 * h + 5), max_size=3))
+    lengths = [draw(st.integers(1, 6)), *middle, draw(st.integers(1, 6))]
+    *taus, t_total = itertools.accumulate(lengths)
+    flows = st.floats(0.0, 300.0)
+    nominal = SegmentationPlan(n_periods=len(lengths), n_intervals=t_total,
+                               switch_times=taus, total_cost=0.0,
+                               params=draw(arrays(float, (len(lengths), m), elements=flows)))
+    day = draw(arrays(float, (t_total, m), elements=flows))
+    profile = draw(st.one_of(st.just(day), arrays(float, (t_total, m), elements=flows)))
+    return nominal, day, profile, h
+
+
+@settings(max_examples=80, deadline=None)
+@given(controller_cases())
+def test_controller_invariants_on_random_plans(case):
+    nominal, day, profile, h = case
+    t_total = nominal.n_intervals
+    for mode in (SEG_ONLY, SEG_PARAMS):
+        cfg = ControllerConfig(window_halfwidth=h, mode=mode)
+        result = run_controller(nominal, day, FixedProfileBank(profile), cfg, CFG)
+        # one committed switch per nominal switch, inside its window, increasing
+        assert len(result.switch_times) == len(nominal.switch_times)
+        for committed, tau in zip(result.switch_times, nominal.switch_times):
+            assert committed in segment_window(tau, h, t_total)
+        assert all(a < b for a, b in zip(result.switch_times, result.switch_times[1:]))
+        # the log moves forward in time and period, and each period's last
+        # entry is its commit
+        log = result.decision_log
+        assert all(a["time"] < b["time"] and a["period"] <= b["period"]
+                   for a, b in zip(log, log[1:]))
+        for e in log:
+            assert e["time"] in segment_window(nominal.switch_times[e["period"] - 1], h,
+                                               t_total)
+        for i, committed in enumerate(result.switch_times, start=1):
+            assert [e["time"] for e in log if e["period"] == i][-1] == committed
+        assert result.params[0].tobytes() == nominal.params[0].tobytes()
+        if mode is SEG_ONLY:
+            # what simulate_day's plan-row memo relies on to hit
+            assert result.params.tobytes() == nominal.params.tobytes()

@@ -345,3 +345,79 @@ def test_zero_demand_phase_keeps_a_positive_green():
     trace = simulate_day(day, plan, ic)
     assert np.all(np.isfinite(trace.rates)) and trace.rates[1] > trace.rates[0]
     assert lower_bound_delay(day, ic).total <= trace.total + 1e-9
+
+
+# ---------------------------------------------------------------- plan-row memo
+
+def control_day_plans(ds, idx):
+    """The nominal plan and both predictive plans of one day, as in
+    ``flowcast control`` with a perfect-foresight bank."""
+    from flowcast import mean_profile, vector_to_grid
+    profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
+    nominal = optimal_segmentation(profile, 4, CFG)
+    day = ds.day_grid(idx)
+    bank = FixedProfileBank(day)
+    plans = [nominal]
+    for mode in (ControllerMode.SEGMENTATION_ONLY, ControllerMode.SEGMENTATION_AND_PARAMS):
+        cfg = ControllerConfig(window_halfwidth=2, mode=mode)
+        plans.append(run_controller(nominal, day, bank, cfg, CFG))
+    return day, plans
+
+
+def small_ic(ds, **kw):
+    return IntersectionConfig.default_for(
+        ds.movements, analysis_period_hours=ds.interval_minutes / 60.0, **kw)
+
+
+def test_memo_hits_are_exact(small):
+    ds, _ = small
+    warm = small_ic(ds)
+    for idx in (11, 3):
+        day, plans = control_day_plans(ds, idx)
+        for plan in plans:
+            got, want = simulate_day(day, plan, warm), simulate_day(day, plan, small_ic(ds))
+            assert np.array_equal(got.rates, want.rates) and got.total == want.total
+
+
+def test_memo_solves_only_new_plan_rows(small, monkeypatch):
+    ds, _ = small
+    ic = small_ic(ds)
+    day, (nominal, seg, seg_params) = control_day_plans(ds, 3)
+    assert np.array_equal(seg.params, nominal.params)
+    assert not np.any(np.all(seg_params.params[1:, None] == nominal.params, axis=2))
+    calls = record_batches(monkeypatch)
+    simulate_day(day, nominal, ic)
+    assert [c[0].shape[0] for c in calls] == [nominal.n_periods]
+    simulate_day(day, seg, ic)
+    assert len(calls) == 1
+    simulate_day(day, seg_params, ic)
+    assert [c[0].shape[0] for c in calls] == [nominal.n_periods, nominal.n_periods - 1]
+    lower_bound_delay(day, ic)
+    lower_bound_delay(day, ic)
+    assert len(calls) == 4
+
+
+def test_replaced_config_starts_with_an_empty_memo(small):
+    from dataclasses import replace
+    ds, _ = small
+    ic = small_ic(ds)
+    day, (nominal, _, _) = control_day_plans(ds, 3)
+    simulate_day(day, nominal, ic)
+    slower = replace(ic, cycle_seconds=90.0)
+    assert slower._plan_greens == {}
+    got = simulate_day(day, nominal, slower)
+    want = simulate_day(day, nominal, small_ic(ds, cycle_seconds=90.0))
+    assert np.array_equal(got.rates, want.rates)
+    assert got.total != simulate_day(day, nominal, ic).total
+
+
+def test_memo_does_not_change_equality_or_repr():
+    # One movement: with longer array fields the generated == is ambiguous.
+    def one_phase():
+        return IntersectionConfig(phases=((0,),), n_movements=1)
+    ic, fresh = one_phase(), one_phase()
+    day = np.array([[300.0]] * 4 + [[900.0]] * 4)
+    simulate_day(day, optimal_segmentation(day, 2, CFG), ic)
+    assert len(ic._plan_greens) == 2
+    assert ic == fresh and repr(ic) == repr(fresh)
+    assert "_plan_greens" not in repr(ic)

@@ -55,6 +55,8 @@ def test_day_of_week_tag():
     assert day_of_week_tag("2024-03-10") == "Sun"
     with pytest.raises(ValidationError):
         day_of_week_tag("03/04/2024")
+    with pytest.raises(ValidationError, match="not YYYY-MM-DD"):
+        day_of_week_tag("20240304")  # fromisoformat reads it; it sorts differently
 
 
 def test_load_csv_basic(tmp_path):
@@ -457,3 +459,30 @@ def test_labels_with_commas_and_quotes_round_trip(tmp_path):
     back = load_dataset(csv_path, meta_path)
     assert back.movements == ds.movements
     assert np.array_equal(back.flows, ds.flows)
+
+
+TWO_DAYS = (("2024-01-01", "Mon"), ("2024-01-02", "Tue"))
+
+
+@pytest.mark.parametrize("days, named", [
+    ((("2024-01-01", "Mon"), ("junk", "Tue")), "junk"),  # not a date
+    ((("2024-01-01", "Mon"), ("20240102", "Tue")), "20240102"),  # not YYYY-MM-DD
+    (TWO_DAYS[::-1], "day 2024-01-01"),  # unsorted
+    ((TWO_DAYS[0], TWO_DAYS[0]), "day 2024-01-01"),  # repeated
+    ((("2024-01-01", "Fri"), TWO_DAYS[1]), "day 2024-01-01"),  # wrong weekday
+])
+def test_dataset_rejects_days_that_do_not_round_trip(tmp_path, days, named):
+    """Each case was accepted, then failed to load or loaded back changed."""
+    flows = np.arange(16.0).reshape(2, 8)
+
+    def dataset(records):
+        return FlowDataset(days=tuple(DayRecord(*r) for r in records), flows=flows,
+                           interval_minutes=360, movements=("A", "B"))
+
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        dataset(days)
+    ds = dataset(TWO_DAYS)
+    csv_path, meta_path = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    save_dataset(ds, csv_path, meta_path)
+    back = load_dataset(csv_path, meta_path)
+    assert back.days == ds.days and np.array_equal(back.flows, ds.flows)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from flowcast import (
     predict,
     split_at,
 )
+from flowcast import pls
 from flowcast.pls import LoocvRecord, pls_from_json, pls_to_json
 
 
@@ -121,8 +123,9 @@ def test_degenerate_target_stops_early(rng):
     z = rng.normal(size=(8, 10))
     y = np.ones((8, 6)) * 3.0  # constant: no covariance at all
     for fitter in (fit_pls, fit_pls_kernel):
-        with pytest.warns(UserWarning, match="no covariance direction"):
+        with pytest.warns(UserWarning, match="no covariance direction") as record:
             model = fitter(z, y, 2)
+        assert not [w for w in record if w.category is RuntimeWarning]  # collapse, no cap
         assert model.n_components == 0
         assert model.n_dropped == 2
         assert np.abs(predict(model, z[0]) - 3.0).max() < 1e-12
@@ -133,10 +136,24 @@ def test_rank_deficient_predictor_drops_components(rng):
     z = u @ rng.normal(size=(1, 8))  # rank-1 predictors
     y = u @ rng.normal(size=(1, 5)) + 0.01 * rng.normal(size=(10, 5))
     for fitter in (fit_pls, fit_pls_kernel):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             model = fitter(z, y, 4)
+        assert not [w for w in record if w.category is RuntimeWarning]
         assert model.n_components == 1
         assert model.n_dropped == 3
+
+
+def test_power_iteration_warns_only_when_the_restart_hits_the_cap(monkeypatch):
+    kz, ky = np.diag([0.0, 2.0, 1.0]), np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The start e0 collapses to zero; the restart converges.
+        v, lam = pls._power_leading_score(kz, ky, 1e-12)
+    assert lam == pytest.approx(2.0) and abs(v[1]) == pytest.approx(1.0)
+    monkeypatch.setattr(pls, "_POWER_MAX_ITER", 1)
+    with pytest.warns(RuntimeWarning, match="did not converge in 1 iterations") as record:
+        v, lam = pls._power_leading_score(np.diag([3.0, 2.0, 1.0]), ky, 1e-12)
+    assert len(record) == 1 and v is not None
 
 
 def test_fit_argument_validation(rng):
@@ -185,11 +202,12 @@ def test_loocv_matches_manual_fold(small):
 
 def test_loocv_uncorrelated_target_shows_no_skill(rng):
     """Independent targets: prediction cannot beat the fold mean on average."""
-    from flowcast.flowdata import DayRecord, FlowDataset
+    from flowcast.flowdata import DayRecord, FlowDataset, day_of_week_tag
 
     d, t, m = 30, 8, 2
     flows = np.abs(rng.normal(size=(d, t * m))) * 10 + 50
-    days = tuple(DayRecord(f"2024-02-{i + 1:02d}", "Mon") for i in range(d))
+    dates = [f"2024-03-{i + 1:02d}" for i in range(d)]
+    days = tuple(DayRecord(s, day_of_week_tag(s)) for s in dates)
     ds = FlowDataset(days=days, flows=flows, interval_minutes=180,
                      movements=("A", "B"))
     spec = SplitSpec(cutoff_index=4, predict_from=5, predict_to=8)
