@@ -13,22 +13,19 @@ import numpy as np
 
 from flowcast import (
     ControllerConfig,
-    ControllerMode,
     FitConfig,
     IntersectionConfig,
     SplitSpec,
     SynthConfig,
     build_model_bank,
     center,
+    evaluate_days,
     explained_variance,
     fit_pca,
     generate,
     loocv,
-    lower_bound_delay,
     mean_profile,
     optimal_segmentation,
-    run_controller,
-    simulate_day,
     vector_to_grid,
 )
 
@@ -78,16 +75,10 @@ def main() -> None:
 
     header = f"{'day':>12} {'nominal':>9} {'seg':>9} {'seg+par':>9} {'bound':>9}"
     print(header)
-    for label, idx in (("above-avg", high_day), ("below-avg", low_day),
-                       ("typical", 1)):
-        day = ds.day_grid(idx)
-        totals = [simulate_day(day, nominal, ic).total]
-        for mode in (ControllerMode.SEGMENTATION_ONLY,
-                     ControllerMode.SEGMENTATION_AND_PARAMS):
-            mode_cfg = ControllerConfig(window_halfwidth=args.window, mode=mode)
-            plan = run_controller(nominal, day, bank, mode_cfg, fit_cfg)
-            totals.append(simulate_day(day, plan, ic).total)
-        totals.append(lower_bound_delay(day, ic).total)
+    labels = {"above-avg": high_day, "below-avg": low_day, "typical": 1}
+    results = evaluate_days(ds, list(labels.values()), nominal, bank, ctrl, fit_cfg, ic)
+    for label, (report, _, _) in zip(labels, results):
+        totals = report.totals().values()
         print(f"{label:>12} " + " ".join(f"{v:9.2f}" for v in totals))
     print("(veh.h of control delay per day; bound = per-interval optimal splits)")
 

@@ -5,7 +5,8 @@ versioned artifact also carries ``format_version`` (1) and, for typed
 documents, a ``kind``; any artifact written by a CLI run carries the run's
 ``manifest_hash``.  Model documents (``pca_model``, ``pls_model``,
 ``pls_model_bank``) are written compact, every other document with
-``indent=2``.
+``indent=2``.  A field a reader asks for and a read document lacks is a
+``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,14 @@ import os
 from pathlib import Path
 
 FORMAT_VERSION = 1
+
+
+class _Fields(dict):
+    """A JSON object read by :func:`read`, whose missing key is a
+    ``ValueError`` naming it rather than a ``KeyError``."""
+
+    def __missing__(self, key):
+        raise ValueError(f"document field {key!r} is missing")
 
 
 def document(kind: str | None, fields: dict, manifest_hash: str | None = None) -> dict:
@@ -51,14 +60,16 @@ def read(source: str | Path | dict, kind: str | None) -> dict:
     """Load a document (or take a parsed one) and check its kind and version.
 
     Raises ``ValueError`` on invalid JSON, a different ``kind`` (None means
-    the document has no kind) or a version other than 1.
+    the document has no kind) or a version other than 1.  In the returned
+    document, and in every object nested in a loaded one, a missing field
+    raises ``ValueError`` too.
     """
     if isinstance(source, dict):
-        doc = source
+        doc = source if isinstance(source, _Fields) else _Fields(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
+                doc = json.load(fh, object_hook=_Fields)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{source}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("kind") != kind \

@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,19 +46,12 @@ from .segmentation import (
 )
 from .controller import (
     ControllerConfig,
-    ControllerMode,
     PlsModelBank,
     build_model_bank,
+    evaluate_days,
     predictive_plan_to_json,
-    run_controller,
 )
-from .delay import (
-    SCENARIOS,
-    DelayReport,
-    IntersectionConfig,
-    lower_bound_delay,
-    simulate_day,
-)
+from .delay import SCENARIOS, IntersectionConfig, report_document
 from .synth import SynthConfig, generate
 
 
@@ -147,10 +140,15 @@ def _load_input(args) -> FlowDataset:
     return load_csv(csv_path, args.interval_minutes)
 
 
-def _out_dir(args) -> Path:
+def _start_run(args, inputs: dict, configs: dict, seed: int | None = None) -> tuple[Path, str]:
+    """Create ``--out-dir`` and write the manifest of ``args.command`` there,
+    seeded ``seed`` or else ``args.seed``; returns (out dir, manifest hash)."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    manifest = RunManifest(command=args.command, inputs=inputs,
+                           seed=args.seed if seed is None else seed,
+                           configs=configs, out_dir=str(out))
+    return out, manifest.write(out)
 
 
 def _fmt(value: float, places: int = 6) -> str:
@@ -170,15 +168,7 @@ def cmd_synth(args) -> int:
                 (int(d), tuple(m)) for d, m in synth_cfg["anomaly_days"]
             )
         cfg = SynthConfig(**synth_cfg)
-    out = _out_dir(args)
-    manifest = RunManifest(
-        command="synth",
-        inputs={},
-        seed=cfg.seed,
-        configs={"synth": asdict(cfg)},
-        out_dir=str(out),
-    )
-    mhash = manifest.write(out)
+    out, mhash = _start_run(args, {}, {"synth": asdict(cfg)}, seed=cfg.seed)
     ds, truth = generate(cfg)
     save_dataset(ds, out / "flows.csv", out / "flows.meta.json", manifest_hash=mhash)
     artifact.write({**truth.to_json_dict(), "manifest_hash": mhash},
@@ -191,16 +181,9 @@ def cmd_synth(args) -> int:
 
 def cmd_pca(args) -> int:
     ds = _load_input(args)
-    out = _out_dir(args)
-    manifest = RunManifest(
-        command="pca",
-        inputs={"input": str(args.input)},
-        seed=args.seed,
-        configs={"pca": {"n_components": args.n_components,
-                         "component_scale": args.component_scale}},
-        out_dir=str(out),
-    )
-    mhash = manifest.write(out)
+    out, mhash = _start_run(args, {"input": str(args.input)},
+                            {"pca": {"n_components": args.n_components,
+                                     "component_scale": args.component_scale}})
     model = fit_pca(center(ds), args.n_components, component_scale=args.component_scale)
     pca_to_json(model, out / "pca_model.json", manifest_hash=mhash)
     fractions = explained_variance(model)
@@ -228,13 +211,15 @@ def _split_spec_from_args(args, ds: FlowDataset) -> SplitSpec:
     cutoff = args.cutoff if args.cutoff is not None else max(1, (t * 10) // 24)
     predict_from = args.predict_from if args.predict_from is not None else cutoff + 1
     predict_to = args.predict_to if args.predict_to is not None else t
-    return SplitSpec(
+    spec = SplitSpec(
         cutoff_index=cutoff,
         predict_from=predict_from,
         predict_to=predict_to,
         predictor_stride=args.predictor_stride,
         predicted_stride=args.predicted_stride,
     )
+    spec.validate_for(t)
+    return spec
 
 
 def _read_sample(path: Path, ds: FlowDataset, spec: SplitSpec) -> tuple[str, np.ndarray]:
@@ -263,19 +248,11 @@ def _read_sample(path: Path, ds: FlowDataset, spec: SplitSpec) -> tuple[str, np.
 def cmd_predict(args) -> int:
     ds = _load_input(args)
     spec = _split_spec_from_args(args, ds)
-    spec.validate_for(ds.intervals_per_day)
     if not args.date and not args.sample:
         raise ValidationError("predict needs --date (holdout) or --sample (external file)")
-    out = _out_dir(args)
-    manifest = RunManifest(
-        command="predict",
-        inputs={"input": str(args.input), "sample": args.sample or "",
-                "date": args.date or ""},
-        seed=args.seed,
-        configs={"split": asdict(spec), "pls": {"n_components": args.n_components}},
-        out_dir=str(out),
-    )
-    mhash = manifest.write(out)
+    out, mhash = _start_run(
+        args, {"input": str(args.input), "sample": args.sample or "", "date": args.date or ""},
+        {"split": asdict(spec), "pls": {"n_components": args.n_components}})
 
     z_all, y_all = split_at(ds, spec)
     if args.date:
@@ -313,17 +290,10 @@ def cmd_predict(args) -> int:
 
 def cmd_segment(args) -> int:
     ds = _load_input(args)
-    out = _out_dir(args)
     fit_cfg = FitConfig(overflow_penalty=args.overflow_penalty)
-    manifest = RunManifest(
-        command="segment",
-        inputs={"input": str(args.input), "date": args.date or ""},
-        seed=args.seed,
-        configs={"segmentation": {"segments": args.segments,
-                                  "overflow_penalty": args.overflow_penalty}},
-        out_dir=str(out),
-    )
-    mhash = manifest.write(out)
+    out, mhash = _start_run(args, {"input": str(args.input), "date": args.date or ""},
+                            {"segmentation": {"segments": args.segments,
+                                              "overflow_penalty": args.overflow_penalty}})
     if args.date:
         profile = ds.day_grid(ds.day_index(args.date))
     else:
@@ -343,16 +313,8 @@ def cmd_segment(args) -> int:
 def cmd_loocv(args) -> int:
     ds = _load_input(args)
     spec = _split_spec_from_args(args, ds)
-    spec.validate_for(ds.intervals_per_day)
-    out = _out_dir(args)
-    manifest = RunManifest(
-        command="loocv",
-        inputs={"input": str(args.input)},
-        seed=args.seed,
-        configs={"split": asdict(spec), "pls": {"n_components": args.n_components}},
-        out_dir=str(out),
-    )
-    mhash = manifest.write(out)
+    out, mhash = _start_run(args, {"input": str(args.input)},
+                            {"split": asdict(spec), "pls": {"n_components": args.n_components}})
     records = loocv(ds, spec, args.n_components)
     _write_csv(
         out / "loocv.csv",
@@ -420,13 +382,13 @@ def _bank_for(ds: FlowDataset, plan, ctrl_cfg: ControllerConfig, n_components: i
 def cmd_control(args) -> int:
     ds = _load_input(args)
     config = _load_config(args.config)
-    out = _out_dir(args)
     fit_cfg = FitConfig(overflow_penalty=args.overflow_penalty)
-    ctrl_block = _config_block(config, "controller", ["clamp_predictions"])
-    ctrl_cfg = ControllerConfig(
-        window_halfwidth=args.window,
-        clamp_predictions=bool(ctrl_block.get("clamp_predictions", True)),
-    )
+    clamp = _config_block(config, "controller", ["clamp_predictions"]).get(
+        "clamp_predictions", True)
+    if not isinstance(clamp, bool):
+        raise ValidationError("config block 'controller' holds a value of the wrong type: "
+                              "clamp_predictions must be true or false")
+    ctrl_cfg = ControllerConfig(window_halfwidth=args.window, clamp_predictions=clamp)
     ic = _intersection_from_config(ds, config)
 
     if args.plan:
@@ -436,68 +398,36 @@ def cmd_control(args) -> int:
         plan = optimal_segmentation(profile, args.segments, fit_cfg,
                                     interval_minutes=ds.interval_minutes)
 
-    manifest = RunManifest(
-        command="control",
-        inputs={"input": str(args.input), "plan": args.plan or "", "date": args.date},
-        seed=args.seed,
-        configs={
-            "segmentation": {"segments": plan.n_periods,
-                             "overflow_penalty": args.overflow_penalty},
-            "controller": {"window_halfwidth": ctrl_cfg.window_halfwidth,
-                           "clamp_predictions": ctrl_cfg.clamp_predictions},
-            "pls": {"n_components": args.n_components},
-            "intersection": config.get("intersection", {}),
-        },
-        out_dir=str(out),
-    )
-    mhash = manifest.write(out)
+    out, mhash = _start_run(
+        args, {"input": str(args.input), "plan": args.plan or "", "date": args.date},
+        {"segmentation": {"segments": plan.n_periods,
+                          "overflow_penalty": args.overflow_penalty},
+         "controller": {"window_halfwidth": ctrl_cfg.window_halfwidth,
+                        "clamp_predictions": ctrl_cfg.clamp_predictions},
+         "pls": {"n_components": args.n_components},
+         "intersection": config.get("intersection", {})})
     if not args.plan:
         plan_to_json(plan, out / "plan.json", manifest_hash=mhash,
                      movements=list(ds.movements))
 
     bank = _bank_for(ds, plan, ctrl_cfg, args.n_components, out / "cache")
-
-    if args.date == "all":
-        indices = list(range(ds.n_days))
-    else:
-        indices = [ds.day_index(args.date)]
-
-    seg_cfg = replace(ctrl_cfg, mode=ControllerMode.SEGMENTATION_ONLY)
-    both_cfg = replace(ctrl_cfg, mode=ControllerMode.SEGMENTATION_AND_PARAMS)
-    per_day = []
-    for idx in indices:
-        date = ds.days[idx].date
-        day = ds.day_grid(idx)
-        plan_seg = run_controller(plan, day, bank, seg_cfg, fit_cfg)
-        plan_both = run_controller(plan, day, bank, both_cfg, fit_cfg)
-        report = DelayReport(date=date, traces={
-            "nominal": simulate_day(day, plan, ic),
-            "predictive_seg": simulate_day(day, plan_seg, ic),
-            "predictive_seg_params": simulate_day(day, plan_both, ic),
-            "lower_bound": lower_bound_delay(day, ic),
-        })
-        per_day.append(report)
-        if args.date != "all":
-            rows = [
-                [t + 1] + [_fmt(report.traces[s].rates[t]) for s in SCENARIOS]
-                for t in range(ds.intervals_per_day)
-            ]
-            _write_csv(out / f"delay_{date}.csv", ["interval", *SCENARIOS], rows, mhash)
-            predictive_plan_to_json(plan_seg, out / f"predictive_plan_{date}_seg.json",
-                                    manifest_hash=mhash, date=date)
-            predictive_plan_to_json(plan_both, out / f"predictive_plan_{date}_seg_params.json",
+    indices = list(range(ds.n_days)) if args.date == "all" else [ds.day_index(args.date)]
+    results = evaluate_days(ds, indices, plan, bank, ctrl_cfg, fit_cfg, ic)
+    if args.date != "all":
+        ((report, *plans),) = results
+        date = report.date
+        rows = [[t + 1] + [_fmt(report.traces[s].rates[t]) for s in SCENARIOS]
+                for t in range(ds.intervals_per_day)]
+        _write_csv(out / f"delay_{date}.csv", ["interval", *SCENARIOS], rows, mhash)
+        for suffix, predictive in zip(("seg", "seg_params"), plans):
+            predictive_plan_to_json(predictive, out / f"predictive_plan_{date}_{suffix}.json",
                                     manifest_hash=mhash, date=date)
 
-    table = [r.to_table() for r in per_day]
-    mean_row = {"date": "mean"}
-    for keyset in (SCENARIOS, ("improvement_seg", "improvement_seg_params")):
-        for k in keyset:
-            mean_row[k] = float(np.mean([row[k] for row in table]))
-    artifact.write({"days": table, "mean": mean_row, "manifest_hash": mhash},
-                   out / "delay_report.json")
-    print(f"evaluated {len(per_day)} day(s); mean nominal delay "
-          f"{mean_row['nominal']:.1f} veh.h, seg+params improvement "
-          f"{mean_row['improvement_seg_params']:.1f} veh.h")
+    doc = report_document([r for r, _, _ in results])
+    artifact.write({**doc, "manifest_hash": mhash}, out / "delay_report.json")
+    print(f"evaluated {len(results)} day(s); mean nominal delay "
+          f"{doc['mean']['nominal']:.1f} veh.h, seg+params improvement "
+          f"{doc['mean']['improvement_seg_params']:.1f} veh.h")
     return 0
 
 
@@ -567,9 +497,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,12 +14,13 @@ are never revisited.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import artifact
+from .delay import SCENARIOS, DelayReport, IntersectionConfig, lower_bound_delay, simulate_day
 from .flowdata import FlowDataset, SplitSpec, split_at
 from .pls import PlsModel, fit_pls_kernel, predict, pls_to_json, pls_from_json
 from .segmentation import FitConfig, PeriodPlan, SegmentationPlan, fit_value, segment_cost
@@ -179,7 +180,7 @@ def plan_horizons(plan: SegmentationPlan) -> dict[int, int]:
 
 
 def build_model_bank(ds: FlowDataset, plan: SegmentationPlan, cfg: ControllerConfig,
-                     n_components: int, fitter=fit_pls_kernel) -> PlsModelBank:
+                     n_components: int) -> PlsModelBank:
     """Fit one predictor per (nominal switch, decision time in its window).
 
     For a plan with S periods and window width W this is (S-1) * W fits; each
@@ -198,7 +199,7 @@ def build_model_bank(ds: FlowDataset, plan: SegmentationPlan, cfg: ControllerCon
             spec = SplitSpec(cutoff_index=t, predict_from=t + 1, predict_to=horizon)
             z, y = split_at(ds, spec)
             try:
-                models[(i, t)] = fitter(z, y, n_components, split=spec)
+                models[(i, t)] = fit_pls_kernel(z, y, n_components, split=spec)
             except Exception as exc:
                 raise ValueError(
                     f"model fit failed for period {i}, decision time {t}: {exc}"
@@ -283,6 +284,28 @@ def run_controller(nominal: SegmentationPlan, day_grid: np.ndarray, bank,
         decision_log=tuple(log),
         interval_minutes=nominal.interval_minutes,
     )
+
+
+def evaluate_days(ds: FlowDataset, indices: list[int], nominal: SegmentationPlan, bank,
+                  cfg: ControllerConfig, fit_cfg: FitConfig, ic: IntersectionConfig
+                  ) -> list[tuple[DelayReport, PredictivePlan, PredictivePlan]]:
+    """Score each day in ``indices`` under every delay scenario.
+
+    Runs the controller in both modes (``cfg`` with its ``mode`` replaced)
+    and simulates the nominal plan, both predictive plans and the
+    clairvoyant lower bound.  Returns ``(report, seg-only plan, seg+params
+    plan)`` per day, in the order of ``indices``.
+    """
+    mode_cfgs = [replace(cfg, mode=mode) for mode in (ControllerMode.SEGMENTATION_ONLY,
+                                                      ControllerMode.SEGMENTATION_AND_PARAMS)]
+    results = []
+    for idx in indices:
+        day = ds.day_grid(idx)
+        plans = [run_controller(nominal, day, bank, c, fit_cfg) for c in mode_cfgs]
+        traces = [simulate_day(day, p, ic) for p in (nominal, *plans)]
+        traces.append(lower_bound_delay(day, ic))
+        results.append((DelayReport(ds.days[idx].date, dict(zip(SCENARIOS, traces))), *plans))
+    return results
 
 
 def predictive_plan_to_json(plan: PredictivePlan, path: str | Path | None = None,

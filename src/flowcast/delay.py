@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,17 +37,18 @@ _SWEEP_TOL = 1e-13
 _MAX_SWEEPS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntersectionConfig:
     """Signal timing structure and saturation flows.
 
     ``phases`` maps each phase to the movement indices it serves; every
     movement must appear in exactly one phase.  ``min_green_fraction`` and
-    ``saturation_flow`` broadcast from scalars.
+    ``saturation_flow`` broadcast from scalars.  Equality and hash compare the
+    init fields by value, arrays included.
 
     Each instance memoizes the greens of the plan rows ``simulate_day`` has
-    solved, keyed by the row's bytes; it takes no part in equality or repr,
-    and ``dataclasses.replace`` starts a copy with an empty memo.
+    solved, keyed by the row's bytes; it takes no part in equality, hash or
+    repr, and ``dataclasses.replace`` starts a copy with an empty memo.
     """
 
     phases: tuple[tuple[int, ...], ...]
@@ -92,6 +93,18 @@ class IntersectionConfig:
                 "minimum greens plus lost time exceed the cycle "
                 f"({ming.sum():.3f} > {self.green_budget:.3f})"
             )
+
+    def _key(self) -> tuple:
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self) if f.init))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def green_budget(self) -> float:
@@ -353,3 +366,11 @@ class DelayReport:
         out.update(self.totals())
         out.update(self.improvements())
         return out
+
+
+def report_document(reports: list[DelayReport]) -> dict:
+    """The ``delay_report.json`` body: one table row per report under
+    ``days`` and, under ``mean``, each column's mean over those rows."""
+    table = [r.to_table() for r in reports]
+    mean = {k: float(np.mean([row[k] for row in table])) for k in table[0] if k != "date"}
+    return {"days": table, "mean": {"date": "mean", **mean}}

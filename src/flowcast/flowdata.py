@@ -522,13 +522,21 @@ def save_dataset(
 
 
 def load_dataset(csv_path: str | Path, meta_path: str | Path) -> FlowDataset:
-    """Load a dataset written by :func:`save_dataset`, honoring sidecar ordering."""
+    """Load a dataset written by :func:`save_dataset`, honoring sidecar ordering.
+
+    The sidecar's day list must match the CSV's days, each tagged with its
+    own weekday.
+    """
     meta = artifact.read(meta_path, None)
     ds = load_csv(csv_path, int(meta["interval_minutes"]),
                   movement_order=meta["movements"])
     sidecar_dates = [d["date"] for d in meta["days"]]
     if sidecar_dates != [r.date for r in ds.days]:
         raise ValidationError("sidecar day list does not match the CSV contents")
+    for entry, rec in zip(meta["days"], ds.days):
+        if entry["day_of_week"] != rec.day_of_week:
+            raise ValidationError(f"sidecar tags {rec.date} {entry['day_of_week']!r}, "
+                                  f"but it is a {rec.day_of_week}")
     return ds
 
 

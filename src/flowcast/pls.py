@@ -310,8 +310,7 @@ class LoocvRecord:
     decrease: float
 
 
-def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int,
-          fitter=fit_pls_kernel) -> list[LoocvRecord]:
+def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int) -> list[LoocvRecord]:
     """Leave-one-out evaluation over every day of the dataset.
 
     Each fold refits on the remaining days (fold means exclude the held-out
@@ -327,7 +326,7 @@ def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int,
     for d in range(ds.n_days):
         z_f = np.delete(z, d, axis=0)
         y_f = np.delete(y, d, axis=0)
-        model = fitter(z_f, y_f, n_components, split=spec)
+        model = fit_pls_kernel(z_f, y_f, n_components, split=spec)
         y_hat = predict(model, z[d])
         e_pred = float(np.abs(y[d] - y_hat).sum())
         e_base = float(np.abs(y[d] - y_f.mean(axis=0)).sum())

@@ -200,11 +200,19 @@ def test_damaged_bank_cache_is_rebuilt(dataset_dir, tmp_path, capsys):
     first = tree_bytes(out)
     (cache_file,) = (out / "cache").glob("bank_*.json")
     text = cache_file.read_text()
-    cache_file.write_text(text[: len(text) // 2])  # truncated, invalid JSON
-    capsys.readouterr()
-    assert main(argv) == 0
-    assert "damaged bank cache" in capsys.readouterr().err
-    assert tree_bytes(out) == first
+    no_models = json.loads(text)
+    del no_models["models"]
+    no_time = json.loads(text)
+    del no_time["models"][0]["time"]
+    for damaged, why in ((text[: len(text) // 2], "invalid JSON"),  # truncated
+                         (json.dumps(no_models), "'models'"),
+                         (json.dumps(no_time), "'time'")):
+        cache_file.write_text(damaged)
+        capsys.readouterr()
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "damaged bank cache" in err and why in err
+        assert tree_bytes(out) == first
 
 
 def test_rerun_same_out_dir_is_byte_identical(tmp_path):
@@ -240,7 +248,8 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
             ("control", {"intersection": {"_plan_greens": {}}}, "_plan_greens"),  # not a setting
             ("synth", {"synth": {"n_days": "x"}}, "'synth'"),  # wrong type
             ("control", {"intersection": {"cycle_seconds": "x"}}, "'intersection'"),
-            ("control", {"intersection": {"min_green_fraction": 0.0}}, "min_green")):
+            ("control", {"intersection": {"min_green_fraction": 0.0}}, "min_green"),
+            ("control", {"controller": {"clamp_predictions": "no"}}, "clamp_predictions")):
         cfg = tmp_path / f"{command}_bad.json"
         cfg.write_text(json.dumps(block))
         rc = main([command, "--input", str(dataset_dir / "flows.csv"),
@@ -248,6 +257,13 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and err.count("\n") == 1
+    plan = tmp_path / "plan.json"  # right kind and version, no fields
+    plan.write_text(json.dumps({"format_version": 1, "kind": "segmentation_plan"}))
+    rc = main(["control", "--input", str(dataset_dir / "flows.csv"), "--plan", str(plan),
+               "--out-dir", str(tmp_path / "e")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'n_periods'" in err and err.count("\n") == 1
 
 
 def test_version_flag(capsys):
@@ -309,14 +325,33 @@ def test_readme_sequence_tree_is_byte_identical(tmp_path, monkeypatch):
 
 
 def test_sidecar_label_csv_cannot_read_back_exits_1(dataset_dir, tmp_path, capsys):
+    """So do a sidecar weekday tag other than the date's and a sidecar
+    without its movements: each is one ``error:`` line naming the fault."""
     data = tmp_path / "data"
     data.mkdir()
     (data / "flows.csv").write_bytes((dataset_dir / "flows.csv").read_bytes())
-    meta = json.loads((dataset_dir / "flows.meta.json").read_text())
-    meta["movements"][0] = " " + meta["movements"][0]
-    (data / "flows.meta.json").write_text(json.dumps(meta))
-    rc = main(["pca", "--input", str(data / "flows.csv"), "--out-dir", str(tmp_path / "o")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(meta["movements"][0]) in err
-    assert err.count("\n") == 1
+    original = (dataset_dir / "flows.meta.json").read_text()
+
+    def relabel(meta):
+        meta["movements"][0] = " " + meta["movements"][0]
+        return repr(meta["movements"][0])
+
+    def retag(meta):
+        assert meta["days"][0] == {"date": "2024-01-01", "day_of_week": "Mon"}
+        meta["days"][0]["day_of_week"] = "Fri"
+        return "2024-01-01"
+
+    def drop_movements(meta):
+        del meta["movements"]
+        return "'movements'"
+
+    for edit in (relabel, retag, drop_movements):
+        meta = json.loads(original)
+        named = edit(meta)
+        (data / "flows.meta.json").write_text(json.dumps(meta))
+        rc = main(["pca", "--input", str(data / "flows.csv"),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1, edit.__name__
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, err
+        assert err.count("\n") == 1

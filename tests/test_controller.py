@@ -23,7 +23,10 @@ from flowcast import (
     vector_to_grid,
 )
 from flowcast import mean_profile, segment_cost
-from flowcast.controller import PredictivePlan, plan_horizons, validate_windows
+from flowcast.controller import (
+    PredictivePlan, evaluate_days, plan_horizons, validate_windows,
+)
+from flowcast.delay import SCENARIOS, IntersectionConfig, lower_bound_delay, simulate_day
 from flowcast.segmentation import SegmentationPlan
 
 from _oracles import joint_switch_and_params
@@ -203,6 +206,35 @@ def test_params_mode_refits_upcoming_period(small):
     for i, tau_star in enumerate(result.switch_times, start=1):
         _, mu = segment_cost(day, tau_star + 1, horizons[i], CFG)
         assert np.array_equal(result.params[i], mu)
+
+
+def test_evaluate_days_scores_both_modes_and_the_bound(small):
+    ds, _ = small
+    profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
+    nominal = optimal_segmentation(profile, 4, CFG)
+    bank = FixedProfileBank(ds.day_grid(2))
+    cfg = ControllerConfig(window_halfwidth=2, mode=SEG_ONLY, clamp_predictions=False)
+
+    def ic():
+        return IntersectionConfig.default_for(
+            ds.movements, analysis_period_hours=ds.interval_minutes / 60.0)
+
+    results = evaluate_days(ds, [7, 0], nominal, bank, cfg, CFG, ic())
+    assert [r.date for r, _, _ in results] == [ds.days[7].date, ds.days[0].date]
+    for idx, (report, seg, seg_params) in zip((7, 0), results):
+        day = ds.day_grid(idx)
+        want = [run_controller(nominal, day, bank,
+                               ControllerConfig(2, mode, clamp_predictions=False), CFG)
+                for mode in (SEG_ONLY, SEG_PARAMS)]
+        for got, plan in zip((seg, seg_params), want):
+            assert got.switch_times == plan.switch_times and got.mode is plan.mode
+            assert np.array_equal(got.params, plan.params)
+        traces = [simulate_day(day, p, ic()) for p in (nominal, *want)]
+        traces.append(lower_bound_delay(day, ic()))
+        assert list(report.traces) == list(SCENARIOS)
+        for name, trace in zip(SCENARIOS, traces):
+            assert np.array_equal(report.traces[name].rates, trace.rates)
+            assert report.traces[name].total == trace.total
 
 
 def test_bank_counts():

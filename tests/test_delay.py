@@ -96,6 +96,21 @@ def test_intersection_config_validation():
     assert ic.green_budget == pytest.approx(1.0 - 16.0 / 120.0, rel=1e-15)
 
 
+def test_config_equality_and_hash_are_by_value():
+    from dataclasses import replace
+    labels = movement_labels(12)
+    ic = IntersectionConfig.default_for(labels)
+    same = IntersectionConfig(phases=ic.phases, n_movements=12,
+                              saturation_flow=[1800.0] * 12, min_green_fraction=0.07)
+    assert ic == same and hash(ic) == hash(same) and len({ic, same}) == 1
+    for other in (replace(ic, cycle_seconds=90),
+                  replace(ic, saturation_flow=[1800.0] * 11 + [1700.0]),
+                  replace(ic, min_green_fraction=(0.07, 0.07, 0.07, 0.08)),
+                  IntersectionConfig.default_for(labels[:4])):
+        assert ic != other and len({ic, other}) == 2
+    assert ic != "not a config"
+
+
 def test_default_phase_structure():
     labels = movement_labels(12)
     ic = IntersectionConfig.default_for(labels)
@@ -241,6 +256,12 @@ def test_report_table_shape():
     assert table["improvement_seg"] == pytest.approx(0.75)
     assert table["improvement_seg_params"] == pytest.approx(1.5)
     assert table["lower_bound"] == pytest.approx(0.75)
+    later = DelayReport(date="2024-01-06", traces={s: mk(1.0) for s in SCENARIOS})
+    doc = delay.report_document([report, later])
+    assert doc["days"] == [table, later.to_table()]
+    assert doc["mean"] == {"date": "mean", "nominal": 1.875, "predictive_seg": 1.5,
+                           "predictive_seg_params": 1.125, "lower_bound": 0.75,
+                           "improvement_seg": 0.375, "improvement_seg_params": 0.75}
 
 
 # ---------------------------------------------------------------- batched solver
@@ -412,12 +433,9 @@ def test_replaced_config_starts_with_an_empty_memo(small):
 
 
 def test_memo_does_not_change_equality_or_repr():
-    # One movement: with longer array fields the generated == is ambiguous.
-    def one_phase():
-        return IntersectionConfig(phases=((0,),), n_movements=1)
-    ic, fresh = one_phase(), one_phase()
-    day = np.array([[300.0]] * 4 + [[900.0]] * 4)
+    ic, fresh = (IntersectionConfig.default_for(movement_labels(12)) for _ in range(2))
+    day = np.array([[300.0] * 12] * 4 + [[900.0] * 12] * 4)
     simulate_day(day, optimal_segmentation(day, 2, CFG), ic)
     assert len(ic._plan_greens) == 2
-    assert ic == fresh and repr(ic) == repr(fresh)
+    assert ic == fresh and hash(ic) == hash(fresh) and repr(ic) == repr(fresh)
     assert "_plan_greens" not in repr(ic)
