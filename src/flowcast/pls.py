@@ -16,13 +16,14 @@ Two fit routes share this contract: :func:`fit_pls` forms the cross-product
 matrix explicitly, while :func:`fit_pls_kernel` works only with the day-by-day
 kernel matrices ``Zc @ Zc.T`` and ``Yc @ Yc.T``, which is much cheaper when
 days are scarce relative to intervals.  The score equals the leading
-eigenvector of ``Kz @ Ky``, found by power iteration.
+eigenvector of ``Kz @ Ky``, found by power iteration.  :func:`loocv` runs the
+same iteration on the fold blocks of one pair of Gram matrices per dataset.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +215,7 @@ def _power_leading_score(kz: np.ndarray, ky: np.ndarray,
         if capped:
             warnings.warn(f"power iteration did not converge in {_POWER_MAX_ITER} "
                           f"iterations, also after its restart", RuntimeWarning,
-                          stacklevel=3)
+                          stacklevel=4)
         if v2 is not None and (v is None or lam2 >= lam):
             v, lam = v2, lam2
     if v is None or lam <= tiny:
@@ -222,26 +223,21 @@ def _power_leading_score(kz: np.ndarray, ky: np.ndarray,
     return v, lam
 
 
-def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
-                   split: SplitSpec | None = None) -> PlsModel:
-    """Fit via day-by-day kernel matrices; contract identical to :func:`fit_pls`.
+def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int,
+                   z_scale: float) -> tuple[list[np.ndarray], int, np.ndarray, np.ndarray]:
+    """Unsigned day scores from centered kernels by power iteration and deflation.
 
-    The (dim_z x dim_y) cross-product matrix is never formed.  Scores come
-    from power iteration on ``Kz @ Ky`` (both D x D); deflation projects the
-    kernels onto the orthogonal complement of each score.  Loadings are
-    recovered from the original centered matrices, which is exact because the
-    scores are mutually orthogonal.
+    ``kz`` and ``ky`` are the centered day-by-day kernels and ``z_scale`` is
+    the Frobenius norm of the centered predictors.  Each score is the leading
+    eigenvector of the deflated ``kz @ ky``; deflation projects both kernels
+    onto the orthogonal complement of the score.  A score's sign does not
+    change the projection, so callers may fix signs afterwards.  Returns
+    (scores, number dropped, deflated kz, deflated ky), warning when
+    components are dropped.
     """
-    z, y = _validate_fit_args(z, y, n_components)
-    mean_z, mean_y = z.mean(axis=0), y.mean(axis=0)
-    zc, yc = z - mean_z, y - mean_y
-    kz = zc @ zc.T
-    ky = yc @ yc.T
-    kz_cur, ky_cur = kz.copy(), ky.copy()
-    z_scale = np.linalg.norm(zc)
+    kz_cur, ky_cur = kz, ky
     tiny = np.finfo(float).eps * float(np.linalg.norm(kz) * np.linalg.norm(ky))
-
-    omegas, ps, cs = [], [], []
+    omegas = []
     dropped = 0
     for i in range(n_components):
         omega, _lam = _power_leading_score(kz_cur, ky_cur, tiny)
@@ -257,18 +253,40 @@ def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
             warnings.warn(
                 f"stopping after {i} components: no covariance direction left "
                 f"({dropped} dropped)",
-                stacklevel=2,
+                stacklevel=3,
             )
             break
+        omegas.append(omega)
+        proj = np.eye(len(omega)) - np.outer(omega, omega)
+        kz_cur = proj @ kz_cur @ proj
+        ky_cur = proj @ ky_cur @ proj
+    return omegas, dropped, kz_cur, ky_cur
+
+
+def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
+                   split: SplitSpec | None = None) -> PlsModel:
+    """Fit via day-by-day kernel matrices; contract identical to :func:`fit_pls`.
+
+    The (dim_z x dim_y) cross-product matrix is never formed.  Scores come
+    from power iteration on ``Kz @ Ky`` (both D x D); deflation projects the
+    kernels onto the orthogonal complement of each score.  Loadings are
+    recovered from the original centered matrices, which is exact because the
+    scores are mutually orthogonal.
+    """
+    z, y = _validate_fit_args(z, y, n_components)
+    mean_z, mean_y = z.mean(axis=0), y.mean(axis=0)
+    zc, yc = z - mean_z, y - mean_y
+    scores, dropped, kz_cur, ky_cur = _kernel_scores(
+        zc @ zc.T, yc @ yc.T, n_components, np.linalg.norm(zc))
+
+    omegas, ps, cs = [], [], []
+    for omega in scores:
         p = zc.T @ omega
         c = yc.T @ omega
         omega, p, c = _first_nonzero_sign_fix(omega, p, c)
         omegas.append(omega)
         ps.append(p)
         cs.append(c)
-        proj = np.eye(len(omega)) - np.outer(omega, omega)
-        kz_cur = proj @ kz_cur @ proj
-        ky_cur = proj @ ky_cur @ proj
 
     # Residual norms follow from the deflated kernels' traces.
     z_res = float(np.sqrt(max(np.trace(kz_cur), 0.0)))
@@ -310,28 +328,71 @@ class LoocvRecord:
     decrease: float
 
 
+def _fold_kernel(gram: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Kernel of the days ``keep``, centered on their own mean, from a Gram
+    matrix of all days: with row means ``r`` and grand mean ``s`` of the fold
+    block ``G``, it is ``G - r 1^T - 1 r^T + s``, which costs O(D^2)."""
+    block = gram[np.ix_(keep, keep)]
+    r = block.mean(axis=1)
+    s = r.mean()
+    return block - r[:, None] - r[None, :] + s
+
+
 def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int) -> list[LoocvRecord]:
     """Leave-one-out evaluation over every day of the dataset.
 
-    Each fold refits on the remaining days (fold means exclude the held-out
-    day).  ``e_pred`` is the one-norm prediction error on the held-out day's
+    Each fold makes the fit and the prediction :func:`fit_pls_kernel` and
+    :func:`predict` make on the remaining days (fold means exclude the
+    held-out day), without touching a (D, dim) data matrix.  Z and Y are
+    centered once and multiplied into two D x D Gram matrices, whose fold
+    blocks are recentered in O(D^2) and give the fold scores ``W``.  For the
+    prediction, the R factor of ``Zg^T = QR`` stands in for the centered
+    predictors: its rows ``r_i`` keep their inner products, so with ``L`` the
+    fold's rows of ``R^T`` centered on the fold mean ``m``, the fold predicts
+    ``y_f + a^T (Y_f - y_f)`` with ``a = W pinv(L^T W) (r_d - m)``.  That is
+    ``W (W^T Kz W)^+ W^T k`` for the fold kernel ``Kz`` and the held-out
+    day's cross row ``k``, without squaring the condition number of the
+    fold loadings.
+
+    ``e_pred`` is the one-norm prediction error on the held-out day's
     predicted window; ``e_base`` the one-norm error of the fold's mean target.
     ``decrease`` is ``(e_base - e_pred) / e_base`` and defined as 0 when the
     baseline error is 0.
     """
-    if ds.n_days < 3:
+    n_days = ds.n_days
+    if n_days < 3:
         raise ValueError("leave-one-out evaluation requires at least 3 days")
+    if not (1 <= n_components <= n_days - 2):
+        raise ValueError(f"n_components={n_components} outside [1, {n_days - 2}] "
+                         f"for {n_days - 1} days")
     z, y = split_at(ds, spec)
+    zg = z - z.mean(axis=0)
+    yg = y - y.mean(axis=0)
+    gz, gy = zg @ zg.T, yg @ yg.T
+    zr = np.linalg.qr(zg.T, mode="r").T
+    # Row d maps the centered targets to day d's fold residual y_d - y_hat_d.
+    # As y_d - y_f = yg_d * D / (D-1), its diagonal entry is (D - sum a) / (D-1).
+    residual_map = np.zeros((n_days, n_days))
+    for d in range(n_days):
+        keep = np.delete(np.arange(n_days), d)
+        kz = _fold_kernel(gz, keep)
+        scores, _, _, _ = _kernel_scores(kz, _fold_kernel(gy, keep), n_components,
+                                         float(np.sqrt(max(np.trace(kz), 0.0))))
+        a = np.zeros(n_days - 1)
+        if scores:
+            w = np.column_stack(scores)
+            rows = zr[keep]
+            mean = rows.mean(axis=0)
+            a = w @ ((zr[d] - mean) @ np.linalg.pinv(w.T @ (rows - mean)))
+        residual_map[d, keep] = -a
+        residual_map[d, d] = (n_days - a.sum()) / (n_days - 1)
+    e_pred = np.abs(residual_map @ yg).sum(axis=1)
+    e_base = np.abs(yg).sum(axis=1) * (n_days / (n_days - 1))
     records = []
-    for d in range(ds.n_days):
-        z_f = np.delete(z, d, axis=0)
-        y_f = np.delete(y, d, axis=0)
-        model = fit_pls_kernel(z_f, y_f, n_components, split=spec)
-        y_hat = predict(model, z[d])
-        e_pred = float(np.abs(y[d] - y_hat).sum())
-        e_base = float(np.abs(y[d] - y_f.mean(axis=0)).sum())
-        decrease = 0.0 if e_base == 0.0 else (e_base - e_pred) / e_base
-        records.append(LoocvRecord(ds.days[d].date, e_pred, e_base, decrease))
+    for d in range(n_days):
+        ep, eb = float(e_pred[d]), float(e_base[d])
+        decrease = 0.0 if eb == 0.0 else (eb - ep) / eb
+        records.append(LoocvRecord(ds.days[d].date, ep, eb, decrease))
     return records
 
 
@@ -352,12 +413,27 @@ def pls_to_json(model: PlsModel, path: str | Path | None = None,
     return artifact.write(doc, path, compact=True)
 
 
+def _split_from_json(entry) -> SplitSpec:
+    """The SplitSpec a model document records; a missing, unknown or
+    non-integer field is a ``ValueError`` naming it."""
+    if not isinstance(entry, dict):
+        raise ValueError("model field 'split' must be an object or null")
+    names = [f.name for f in fields(SplitSpec)]
+    for key in entry:
+        if key not in names:
+            raise ValueError(f"split field {key!r} is unknown")
+    for name in names:
+        if name not in entry:
+            raise ValueError(f"split field {name!r} is missing")
+        if not isinstance(entry[name], int) or isinstance(entry[name], bool):
+            raise ValueError(f"split field {name!r} must be an integer")
+    return SplitSpec(**entry)
+
+
 def pls_from_json(source: str | Path | dict) -> PlsModel:
     """Load a model serialized by :func:`pls_to_json`."""
     doc = artifact.read(source, "pls_model")
-    split = None
-    if doc["split"] is not None:
-        split = SplitSpec(**doc["split"])
+    split = None if doc["split"] is None else _split_from_json(doc["split"])
     return PlsModel(
         predictor_loadings=np.asarray(doc["predictor_loadings"], dtype=float),
         predicted_loadings=np.asarray(doc["predicted_loadings"], dtype=float),

@@ -10,7 +10,8 @@ from flowcast import FitConfig, fit_value, segment_cost
 from flowcast.delay import (_GOLDEN, _MAX_SWEEPS, _SWEEP_TOL, GreenSplits,
                             movement_delay)
 from flowcast.flowdata import (CSV_HEADER, DayRecord, FlowDataset, ValidationError,
-                               _split_grid, day_of_week_tag)
+                               _split_grid, day_of_week_tag, split_at)
+from flowcast.pls import LoocvRecord, fit_pls_kernel, predict
 
 
 def brute_force_plan(x, n_periods, cfg):
@@ -351,3 +352,21 @@ def rowwise_read_sample(path, ds, spec):
             grid[0, m, t - 1] = day[(movement, t)]
     z, _ = _split_grid(grid, spec)
     return date_label, z[0]
+
+
+def refit_loocv(ds, spec, n_components):
+    """Leave-one-out by refitting each fold from its copied data matrices."""
+    if ds.n_days < 3:
+        raise ValueError("leave-one-out evaluation requires at least 3 days")
+    z, y = split_at(ds, spec)
+    records = []
+    for d in range(ds.n_days):
+        z_f = np.delete(z, d, axis=0)
+        y_f = np.delete(y, d, axis=0)
+        model = fit_pls_kernel(z_f, y_f, n_components, split=spec)
+        y_hat = predict(model, z[d])
+        e_pred = float(np.abs(y[d] - y_hat).sum())
+        e_base = float(np.abs(y[d] - y_f.mean(axis=0)).sum())
+        decrease = 0.0 if e_base == 0.0 else (e_base - e_pred) / e_base
+        records.append(LoocvRecord(ds.days[d].date, e_pred, e_base, decrease))
+    return records

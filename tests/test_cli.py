@@ -148,6 +148,15 @@ def test_loocv_command(dataset_dir, tmp_path):
         1 for r in rows if float(r["decrease"]) > 0)
 
 
+def test_loocv_component_count_outside_range_exits_1(dataset_dir, tmp_path, capsys):
+    for n in (0, 9):  # 10 days: each fold has 9, so at most 8 components
+        rc = main(["loocv", "--input", str(dataset_dir / "flows.csv"),
+                   "--out-dir", str(tmp_path / "cv"), "--n-components", str(n)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: n_components={n} outside [1, 8] for 9 days\n")
+
+
 def test_control_single_date(dataset_dir, tmp_path):
     out = tmp_path / "ctl"
     rc = main(["control", "--input", str(dataset_dir / "flows.csv"),
@@ -204,9 +213,15 @@ def test_damaged_bank_cache_is_rebuilt(dataset_dir, tmp_path, capsys):
     del no_models["models"]
     no_time = json.loads(text)
     del no_time["models"][0]["time"]
+    no_cutoff = json.loads(text)
+    del no_cutoff["models"][0]["model"]["split"]["cutoff_index"]
+    extra_key = json.loads(text)
+    extra_key["models"][-1]["model"]["split"]["horizon"] = 3
     for damaged, why in ((text[: len(text) // 2], "invalid JSON"),  # truncated
                          (json.dumps(no_models), "'models'"),
-                         (json.dumps(no_time), "'time'")):
+                         (json.dumps(no_time), "'time'"),
+                         (json.dumps(no_cutoff), "'cutoff_index' is missing"),
+                         (json.dumps(extra_key), "'horizon' is unknown")):
         cache_file.write_text(damaged)
         capsys.readouterr()
         assert main(argv) == 0
@@ -301,8 +316,11 @@ def test_readme_config_block_is_accepted(tmp_path):
 # SHA-256 of the sorted ``sha256sum``-style listing of the tree the README
 # command sequence writes (small synth config, relative paths), as recorded
 # before the column-wise CSV parser and the batched cost table replaced their
-# per-row and per-window loops.  A same-bytes refactor must keep it.
-README_TREE_SHA256 = "1e5a37257a456dce5f0184b5a6b080f1d147d5039d0f405cebbde11c67630146"
+# per-row and per-window loops, and re-pinned once when the leave-one-out
+# evaluation moved to kernel space: that moved ``loocv_summary.json``'s
+# ``mean_decrease`` by 2 ulps (every ``loocv.csv`` byte stayed).  A same-bytes
+# refactor must keep it.
+README_TREE_SHA256 = "911434aafaef4f2c10d3fc4de59bb463073c78b997f57de471d1c0889a8d1fdf"
 
 
 def test_readme_sequence_tree_is_byte_identical(tmp_path, monkeypatch):

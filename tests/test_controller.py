@@ -237,6 +237,27 @@ def test_evaluate_days_scores_both_modes_and_the_bound(small):
             assert report.traces[name].total == trace.total
 
 
+def test_lower_bound_rate_never_exceeds_a_plan_rate(small):
+    """Interval by interval, not only per day: the clairvoyant splits are
+    at most each plan's delay rate on every interval of every day."""
+    ds, _ = small
+    profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
+    nominal = optimal_segmentation(profile, 4, CFG)
+    cfg = ControllerConfig(window_halfwidth=2)
+    bank = build_model_bank(ds, nominal, cfg, 2)
+    ic = IntersectionConfig.default_for(ds.movements,
+                                        analysis_period_hours=ds.interval_minutes / 60.0)
+    results = evaluate_days(ds, list(range(ds.n_days)), nominal, bank, cfg, CFG, ic)
+    checked = 0
+    for report, _, _ in results:
+        bound = report.traces["lower_bound"].rates
+        for name in SCENARIOS[:3]:
+            rates = report.traces[name].rates
+            assert np.all(bound <= rates + 1e-9 * np.maximum(1.0, rates)), (report.date, name)
+            checked += rates.size
+    assert checked == 3 * ds.n_days * ds.intervals_per_day
+
+
 def test_bank_counts():
     day = step_day(t=40, m=2, peak=(12, 25))
     plan2 = optimal_segmentation(day, 2, CFG)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowcast import (
     SplitSpec,
@@ -13,7 +15,10 @@ from flowcast import (
     split_at,
 )
 from flowcast import pls
+from flowcast.flowdata import DayRecord, FlowDataset, day_of_week_tag
 from flowcast.pls import LoocvRecord, pls_from_json, pls_to_json
+
+from _oracles import refit_loocv
 
 
 def random_instance(rng, d=12, dim_z=30, dim_y=18, rank=4, noise=0.05):
@@ -215,6 +220,92 @@ def test_loocv_uncorrelated_target_shows_no_skill(rng):
     assert np.mean([r.decrease for r in records]) < 0.05
 
 
+@st.composite
+def loocv_cases(draw):
+    """Shape, split, kind and component count of one leave-one-out case.
+
+    ``distinct`` movements carry data and ``copies`` more repeat them, so
+    the predictors hold duplicated columns.  Outside the constant-target
+    kind the component count stays within the predictors' rank: a component
+    beyond it would rest on deflation residue, where any two roundings may
+    keep or drop it.
+    """
+    n_days = draw(st.integers(3, 20))
+    t = draw(st.sampled_from((4, 6, 8, 12, 16, 24)))
+    zs, ys = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    cutoff = draw(st.sampled_from(
+        [c for c in range(zs, t) if c % zs == 0 and (t - c) % ys == 0]))
+    kind = draw(st.sampled_from(("planted", "duplicated", "constant")))
+    distinct = draw(st.integers(1, 4))
+    copies = draw(st.integers(1, 3)) if kind == "duplicated" else 0
+    rank = min(n_days - 2, distinct * cutoff // zs)
+    top = n_days - 2 if kind == "constant" else rank
+    return (n_days, t, cutoff, zs, ys, kind, distinct, copies,
+            draw(st.integers(1, top)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def loocv_case_data(n_days, t, cutoff, zs, ys, kind, distinct, copies, seed):
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, 4))
+    grid = 50.0 + 5.0 * rng.normal(size=(n_days, rank)) @ rng.normal(size=(rank, distinct * t))
+    grid = np.abs(grid + rng.normal(size=grid.shape)).reshape(n_days, distinct, t)
+    grid = grid[:, np.r_[np.arange(distinct), rng.integers(distinct, size=copies)], :]
+    if kind == "constant":
+        grid[:, :, cutoff:] = float(rng.integers(0, 100))
+    m = grid.shape[1]
+    dates = [f"2024-03-{i + 1:02d}" for i in range(n_days)]
+    ds = FlowDataset(days=tuple(DayRecord(s, day_of_week_tag(s)) for s in dates),
+                     flows=grid.reshape(n_days, m * t), interval_minutes=1440 // t,
+                     movements=tuple(f"M{i}" for i in range(m)))
+    spec = SplitSpec(cutoff_index=cutoff, predict_from=cutoff + 1, predict_to=t,
+                     predictor_stride=zs, predicted_stride=ys)
+    return ds, spec
+
+
+def recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=60, deadline=None)
+@given(loocv_cases())
+# Rank-deficient predictors at full rank: 3 movements, two of them copies of
+# the first, so 2 distinct predictor columns for 2 components.
+@example((6, 8, 4, 2, 1, "duplicated", 1, 2, 2, 7))
+@example((5, 6, 2, 1, 2, "constant", 2, 0, 3, 1))  # every component dropped
+def test_loocv_matches_refit_oracle(case):
+    """Kernel-space folds give the refitted folds' errors and warnings."""
+    *shape, n_components, seed = case
+    ds, spec = loocv_case_data(*shape, seed)
+    got, got_warnings = recorded(loocv, ds, spec, n_components)
+    want, want_warnings = recorded(refit_loocv, ds, spec, n_components)
+    assert got_warnings == want_warnings
+    assert [r.date for r in got] == [r.date for r in want]
+    for g, w in zip(got, want):
+        assert abs(g.e_pred - w.e_pred) <= 1e-9 * w.e_pred, (g, w)
+        assert abs(g.e_base - w.e_base) <= 1e-9 * w.e_base, (g, w)
+        # A baseline error far below the data's size makes ``decrease`` large
+        # and scales its rounding with it (both routes' e_base carry the
+        # rounding of y - mean(y)), so the bound is relative beyond 1.
+        assert abs(g.decrease - w.decrease) <= 1e-9 * max(1.0, abs(w.decrease)), (g, w)
+
+
+def test_loocv_rejects_component_counts_before_any_gram(small, monkeypatch):
+    ds, _ = small
+    spec = SplitSpec(cutoff_index=20, predict_from=21, predict_to=48)
+
+    def no_split(*args):
+        raise AssertionError("split_at called before the component check")
+
+    monkeypatch.setattr(pls, "split_at", no_split)
+    for n in (0, 23):  # 24 days: each fold has 23, so at most 22 components
+        with pytest.raises(ValueError) as info:
+            loocv(ds, spec, n)
+        assert str(info.value) == f"n_components={n} outside [1, 22] for 23 days"
+
+
 def test_loocv_needs_three_days(small):
     ds, _ = small
     from flowcast.flowdata import FlowDataset
@@ -238,6 +329,19 @@ def test_json_round_trip(rng, tmp_path):
     assert np.allclose(back.scores, model.scores, atol=0)
     s = rng.normal(size=z.shape[1])
     assert np.abs(predict(back, s) - predict(model, s)).max() < 1e-12
+
+
+def test_json_split_fields_are_checked(rng):
+    z, y = random_instance(rng)
+    spec = SplitSpec(cutoff_index=5, predict_from=6, predict_to=8)
+    doc = pls_to_json(fit_pls_kernel(z, y, 2, split=spec))
+    for edit, named in ((lambda sp: sp.pop("predict_to"), "'predict_to' is missing"),
+                        (lambda sp: sp.update(extra=1), "'extra' is unknown"),
+                        (lambda sp: sp.update(cutoff_index="5"), "'cutoff_index' must be")):
+        damaged = {**doc, "split": dict(doc["split"])}
+        edit(damaged["split"])
+        with pytest.raises(ValueError, match=named):
+            pls_from_json(damaged)
 
 
 def test_kernel_route_avoids_cross_product(rng, monkeypatch):
