@@ -5,8 +5,8 @@ versioned artifact also carries ``format_version`` (1) and, for typed
 documents, a ``kind``; any artifact written by a CLI run carries the run's
 ``manifest_hash``.  Model documents (``pca_model``, ``pls_model``,
 ``pls_model_bank``) are written compact, every other document with
-``indent=2``.  A field a reader asks for and a read document lacks is a
-``ValueError`` naming it.
+``indent=2``.  A field a reader asks for and a read document lacks or holds
+with the wrong type is a ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+
+import numpy as np
 
 FORMAT_VERSION = 1
 
@@ -77,6 +79,33 @@ def read(source: str | Path | dict, kind: str | None) -> dict:
         what = f"{kind} document" if kind else "document"
         raise ValueError(f"not a version-{FORMAT_VERSION} {what}")
     return doc
+
+
+def typed(doc: dict, name: str, kind: type | tuple[type, ...], what: str):
+    """``doc[name]``, which must be a ``kind`` but not a bool (``what`` names it)."""
+    if not isinstance(doc, dict) or name not in doc:
+        raise ValueError(f"document field {name!r} is missing")
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"document field {name!r} must be {what}")
+    return value
+
+
+def number(doc: dict, name: str) -> float:
+    """``doc[name]``, which must be a JSON number, as a float."""
+    return float(typed(doc, name, (int, float), "a number"))
+
+
+def array(doc: dict, name: str, ndim: int) -> np.ndarray:
+    """``doc[name]``, which must nest finite numbers ``ndim`` deep, as a float array."""
+    value = doc[name]
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.ndim != ndim or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"document field {name!r} must be a {ndim}-D array of finite numbers")
+    return arr.astype(float)
 
 
 def render_hhmm(interval: int, interval_minutes: int) -> str:

@@ -369,7 +369,9 @@ def _bank_for(ds: FlowDataset, plan, ctrl_cfg: ControllerConfig, n_components: i
     cache_file = cache_dir / f"bank_{key}.json"
     if cache_file.exists():
         try:
-            return PlsModelBank.from_json(cache_file)
+            bank = PlsModelBank.from_json(cache_file)
+            bank.check_fits(plan, ctrl_cfg.window_halfwidth, ds.n_movements)
+            return bank
         except ValueError as exc:
             print(f"warning: refitting damaged bank cache {cache_file}: {exc}",
                   file=sys.stderr)
@@ -393,6 +395,9 @@ def cmd_control(args) -> int:
 
     if args.plan:
         plan = plan_from_json(args.plan)
+        if plan.interval_minutes not in (None, ds.interval_minutes):
+            raise ValidationError(f"plan has {plan.interval_minutes}-minute intervals, "
+                                  f"the data {ds.interval_minutes}-minute ones")
     else:
         profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
         plan = optimal_segmentation(profile, args.segments, fit_cfg,

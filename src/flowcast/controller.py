@@ -7,14 +7,14 @@ every admissible switch time ``u >= t`` in the window by the asymmetric fit
 (current period scored against the committed parameter vector, remainder
 either re-optimized or scored against the nominal next parameters), and
 commits the switch the first time the argmin coincides with the current
-interval.  Reaching the window end forces the switch.  Committed decisions
+interval, as it must at the window's last interval.  Committed decisions
 are never revisited.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,11 +101,13 @@ class PlsModelBank:
     def __init__(self, models: dict[tuple[int, int], PlsModel],
                  horizons: dict[int, int], n_movements: int):
         for (i, t), model in models.items():
-            sp = model.split
-            if sp is None or sp.cutoff_index != t or sp.predict_from != t + 1 \
-                    or sp.predict_to != horizons[i] \
-                    or sp.predictor_stride != 1 or sp.predicted_stride != 1:
+            horizon = horizons.get(i)
+            if model.split is None or astuple(model.split) != (t, t + 1, horizon, 1, 1):
                 raise ValueError(f"model under key ({i}, {t}) has a mismatched split spec")
+            dz, dy, n = n_movements * t, n_movements * (horizon - t), model.n_components
+            if (model.predictor_loadings.shape, model.predicted_loadings.shape,
+                    model.mean_z.shape, model.mean_y.shape) != ((dz, n), (dy, n), (dz,), (dy,)):
+                raise ValueError(f"model under key ({i}, {t}) has shapes unfit for its split")
         self.models = models
         self.horizons = dict(horizons)
         self.n_movements = n_movements
@@ -117,16 +119,11 @@ class PlsModelBank:
     def predict_window(self, period: int, t: int, horizon_end: int,
                        measured_grid: np.ndarray) -> np.ndarray:
         """Predicted (horizon_end - t, M) grid for intervals t+1 .. horizon_end."""
-        key = (period, t)
-        if key not in self.models:
-            raise ValueError(f"model bank has no entry for period {period}, time {t}")
-        if self.horizons[period] != horizon_end:
-            raise ValueError(
-                f"bank horizon {self.horizons[period]} != requested {horizon_end}"
-            )
-        model = self.models[key]
+        if (period, t) not in self.models or self.horizons[period] != horizon_end:
+            raise ValueError(f"model bank has no entry for period {period}, time {t} "
+                             f"and horizon {horizon_end}")
         z = np.asarray(measured_grid, dtype=float).T.reshape(-1)
-        y = predict(model, z)
+        y = predict(self.models[(period, t)], z)
         return y.reshape(self.n_movements, horizon_end - t).T
 
     def prediction_id(self, period: int, t: int) -> str:
@@ -147,12 +144,21 @@ class PlsModelBank:
     @classmethod
     def from_json(cls, source: str | Path | dict) -> "PlsModelBank":
         doc = artifact.read(source, "pls_model_bank")
-        models = {
-            (int(e["period"]), int(e["time"])): pls_from_json(e["model"])
-            for e in doc["models"]
-        }
-        horizons = {int(k): int(v) for k, v in doc["horizons"].items()}
-        return cls(models, horizons, int(doc["n_movements"]))
+        models = {}
+        for e in artifact.typed(doc, "models", list, "a list"):
+            key = (artifact.typed(e, "period", int, "an integer"),
+                   artifact.typed(e, "time", int, "an integer"))
+            models[key] = pls_from_json(artifact.typed(e, "model", dict, "an object"))
+        horizons = artifact.typed(doc, "horizons", dict, "an object")
+        horizons = {int(k): artifact.typed(horizons, k, int, "an integer") for k in horizons}
+        return cls(models, horizons, artifact.typed(doc, "n_movements", int, "an integer"))
+
+    def check_fits(self, plan: SegmentationPlan, halfwidth: int, n_movements: int) -> None:
+        """Raise ``ValueError`` unless this bank holds exactly the models and
+        horizons ``run_controller`` needs for ``plan`` and ``halfwidth``."""
+        if (self.n_movements, self.horizons, sorted(self.models)) != (
+                n_movements, plan_horizons(plan), bank_keys(plan, halfwidth)):
+            raise ValueError("bank does not fit the plan's switch windows or the data")
 
 
 class FixedProfileBank:
@@ -179,6 +185,12 @@ def plan_horizons(plan: SegmentationPlan) -> dict[int, int]:
     return {i: taus[i] for i in range(1, plan.n_periods)}
 
 
+def bank_keys(plan: SegmentationPlan, halfwidth: int) -> list[tuple[int, int]]:
+    """Sorted (switch index, decision time) of every model the controller may use."""
+    return [(i, t) for i, tau in enumerate(plan.switch_times, start=1)
+            for t in segment_window(tau, halfwidth, plan.n_intervals)]
+
+
 def build_model_bank(ds: FlowDataset, plan: SegmentationPlan, cfg: ControllerConfig,
                      n_components: int) -> PlsModelBank:
     """Fit one predictor per (nominal switch, decision time in its window).
@@ -188,22 +200,19 @@ def build_model_bank(ds: FlowDataset, plan: SegmentationPlan, cfg: ControllerCon
     resolution.
     """
     validate_windows(plan, cfg.window_halfwidth)
-    t_total = plan.n_intervals
-    if t_total != ds.intervals_per_day:
+    if plan.n_intervals != ds.intervals_per_day:
         raise ValueError("plan and dataset disagree on intervals per day")
     horizons = plan_horizons(plan)
     models: dict[tuple[int, int], PlsModel] = {}
-    for i, tau in enumerate(plan.switch_times, start=1):
-        horizon = horizons[i]
-        for t in segment_window(tau, cfg.window_halfwidth, t_total):
-            spec = SplitSpec(cutoff_index=t, predict_from=t + 1, predict_to=horizon)
-            z, y = split_at(ds, spec)
-            try:
-                models[(i, t)] = fit_pls_kernel(z, y, n_components, split=spec)
-            except Exception as exc:
-                raise ValueError(
-                    f"model fit failed for period {i}, decision time {t}: {exc}"
-                ) from exc
+    for i, t in bank_keys(plan, cfg.window_halfwidth):
+        spec = SplitSpec(cutoff_index=t, predict_from=t + 1, predict_to=horizons[i])
+        z, y = split_at(ds, spec)
+        try:
+            models[(i, t)] = fit_pls_kernel(z, y, n_components, split=spec)
+        except Exception as exc:
+            raise ValueError(
+                f"model fit failed for period {i}, decision time {t}: {exc}"
+            ) from exc
     return PlsModelBank(models, horizons, ds.n_movements)
 
 
@@ -236,44 +245,34 @@ def run_controller(nominal: SegmentationPlan, day_grid: np.ndarray, bank,
         raise ValueError(f"day grid shape {day.shape} != ({t_total}, {m})")
     validate_windows(nominal, cfg.window_halfwidth)
 
-    taus = nominal.switch_times
     committed: list[int] = []
     params: list[np.ndarray] = [np.array(nominal.params[0])]
     log: list[dict] = []
-    i = 1  # 1-based index of the next switch to commit
-    for t in range(1, t_total + 1):
-        if i > len(taus):
-            break
-        window = segment_window(taus[i - 1], cfg.window_halfwidth, t_total)
-        if t not in window:
-            continue
-        horizon = taus[i] if i < len(taus) else t_total
-        y_hat = bank.predict_window(i, t, horizon, day[:t])
-        y_hat = np.asarray(y_hat, dtype=float)
-        if y_hat.shape != (horizon - t, m):
-            raise ValueError(
-                f"bank returned shape {y_hat.shape}, expected ({horizon - t}, {m})"
-            )
-        if cfg.clamp_predictions:
-            y_hat = np.maximum(y_hat, 0.0)
-        y_abs = np.zeros((horizon, m))
-        y_abs[t:horizon] = y_hat
-        u = t_opt(t, window, y_abs, params[i - 1], horizon, fit_cfg, cfg.mode,
-                  mu_next=np.asarray(nominal.params[i]))
-        log.append({
-            "time": t,
-            "period": i,
-            "t_opt": u,
-            "prediction": bank.prediction_id(i, t),
-        })
-        if u == t or t == window[-1]:
-            committed.append(t)
-            if cfg.mode is ControllerMode.SEGMENTATION_AND_PARAMS:
-                _, mu_next = segment_cost(y_abs, t + 1, horizon, fit_cfg)
-            else:
-                mu_next = np.array(nominal.params[i])
-            params.append(mu_next)
-            i += 1
+    for i, horizon in plan_horizons(nominal).items():
+        window = segment_window(nominal.switch_times[i - 1], cfg.window_halfwidth, t_total)
+        for t in window:
+            y_hat = np.asarray(bank.predict_window(i, t, horizon, day[:t]), dtype=float)
+            if y_hat.shape != (horizon - t, m):
+                raise ValueError(
+                    f"bank returned shape {y_hat.shape}, expected ({horizon - t}, {m})"
+                )
+            y_abs = np.zeros((horizon, m))
+            y_abs[t:] = np.maximum(y_hat, 0.0) if cfg.clamp_predictions else y_hat
+            u = t_opt(t, window, y_abs, params[i - 1], horizon, fit_cfg, cfg.mode,
+                      mu_next=np.asarray(nominal.params[i]))
+            log.append({
+                "time": t,
+                "period": i,
+                "t_opt": u,
+                "prediction": bank.prediction_id(i, t),
+            })
+            if u == t:  # always so at the window's last interval
+                committed.append(t)
+                if cfg.mode is ControllerMode.SEGMENTATION_AND_PARAMS:
+                    params.append(segment_cost(y_abs, t + 1, horizon, fit_cfg)[1])
+                else:
+                    params.append(np.array(nominal.params[i]))
+                break
 
     return PredictivePlan(
         n_periods=nominal.n_periods,

@@ -36,9 +36,10 @@ _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 10_000
 _RESTART_SEED = 0x5EED
 
-# A singular direction is treated as degenerate when the score norm falls
-# below this fraction of the initial predictor scale.
-_DEGENERATE_REL = 1e-12
+# Both fit routes drop a direction whose score norm is at most this fraction
+# of the centered predictors' norm: above deflation residue, which scores near
+# sqrt(eps) = 1.5e-8 of it, and below real components of noisy data (>1.8e-5).
+_DEGENERATE_REL = 1e-6
 
 
 @dataclass
@@ -135,7 +136,7 @@ def fit_pls(z: np.ndarray, y: np.ndarray, n_components: int,
         r = u[:, 0]
         t_raw = zc @ r
         norm = np.linalg.norm(t_raw)
-        if norm <= _DEGENERATE_REL * max(z_scale, 1.0) or s[0] == 0.0:
+        if norm <= _DEGENERATE_REL * z_scale or s[0] == 0.0:
             dropped = n_components - i
             warnings.warn(
                 f"stopping after {i} components: no covariance direction left "
@@ -153,13 +154,14 @@ def fit_pls(z: np.ndarray, y: np.ndarray, n_components: int,
         zc = zc - np.outer(omega, p)
         yc = yc - np.outer(omega, c)
 
-    return _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped, zc, yc)
+    return _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped,
+                     np.linalg.norm(zc), np.linalg.norm(yc))
 
 
-def _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped, zc_final, yc_final):
+def _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped, z_res, y_res):
     d = z.shape[0]
     n = len(omegas)
-    model = PlsModel(
+    return PlsModel(
         predictor_loadings=np.column_stack(ps) if n else np.zeros((z.shape[1], 0)),
         predicted_loadings=np.column_stack(cs) if n else np.zeros((mean_y.size, 0)),
         scores=np.column_stack(omegas) if n else np.zeros((d, 0)),
@@ -167,10 +169,9 @@ def _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped, zc_final, yc_fi
         mean_y=np.asarray(mean_y, dtype=float),
         split=split,
         n_dropped=dropped,
-        z_residual_norm=float(np.linalg.norm(zc_final)),
-        y_residual_norm=float(np.linalg.norm(yc_final)),
+        z_residual_norm=float(z_res),
+        y_residual_norm=float(y_res),
     )
-    return model
 
 
 def _power_leading_score(kz: np.ndarray, ky: np.ndarray,
@@ -242,11 +243,9 @@ def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int,
     for i in range(n_components):
         omega, _lam = _power_leading_score(kz_cur, ky_cur, tiny)
         if omega is not None:
-            # Same degeneracy rule as the direct route: no predictor mass
-            # left along the direction.  Measured on the deflated kernel so
-            # projection residue of earlier components cannot pass as signal.
+            # Measured on the deflated kernel, like the direct route's score.
             t_norm = float(np.sqrt(max(omega @ kz_cur @ omega, 0.0)))
-            if t_norm <= _DEGENERATE_REL * max(z_scale, 1.0):
+            if t_norm <= _DEGENERATE_REL * z_scale:
                 omega = None
         if omega is None:
             dropped = n_components - i
@@ -289,13 +288,8 @@ def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
         cs.append(c)
 
     # Residual norms follow from the deflated kernels' traces.
-    z_res = float(np.sqrt(max(np.trace(kz_cur), 0.0)))
-    y_res = float(np.sqrt(max(np.trace(ky_cur), 0.0)))
-    model = _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped,
-                      np.zeros((0, 0)), np.zeros((0, 0)))
-    model.z_residual_norm = z_res
-    model.y_residual_norm = y_res
-    return model
+    return _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped,
+                     np.sqrt(max(np.trace(kz_cur), 0.0)), np.sqrt(max(np.trace(ky_cur), 0.0)))
 
 
 def predict(model: PlsModel, z_sample: np.ndarray) -> np.ndarray:
@@ -364,7 +358,7 @@ def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int) -> list[LoocvReco
         raise ValueError("leave-one-out evaluation requires at least 3 days")
     if not (1 <= n_components <= n_days - 2):
         raise ValueError(f"n_components={n_components} outside [1, {n_days - 2}] "
-                         f"for {n_days - 1} days")
+                         f"for {n_days} days")
     z, y = split_at(ds, spec)
     zg = z - z.mean(axis=0)
     yg = y - y.mean(axis=0)
@@ -422,12 +416,7 @@ def _split_from_json(entry) -> SplitSpec:
     for key in entry:
         if key not in names:
             raise ValueError(f"split field {key!r} is unknown")
-    for name in names:
-        if name not in entry:
-            raise ValueError(f"split field {name!r} is missing")
-        if not isinstance(entry[name], int) or isinstance(entry[name], bool):
-            raise ValueError(f"split field {name!r} must be an integer")
-    return SplitSpec(**entry)
+    return SplitSpec(**{name: artifact.typed(entry, name, int, "an integer") for name in names})
 
 
 def pls_from_json(source: str | Path | dict) -> PlsModel:
@@ -435,13 +424,13 @@ def pls_from_json(source: str | Path | dict) -> PlsModel:
     doc = artifact.read(source, "pls_model")
     split = None if doc["split"] is None else _split_from_json(doc["split"])
     return PlsModel(
-        predictor_loadings=np.asarray(doc["predictor_loadings"], dtype=float),
-        predicted_loadings=np.asarray(doc["predicted_loadings"], dtype=float),
-        scores=np.asarray(doc["scores"], dtype=float),
-        mean_z=np.asarray(doc["mean_z"], dtype=float),
-        mean_y=np.asarray(doc["mean_y"], dtype=float),
+        predictor_loadings=artifact.array(doc, "predictor_loadings", 2),
+        predicted_loadings=artifact.array(doc, "predicted_loadings", 2),
+        scores=artifact.array(doc, "scores", 2),
+        mean_z=artifact.array(doc, "mean_z", 1),
+        mean_y=artifact.array(doc, "mean_y", 1),
         split=split,
-        n_dropped=int(doc["n_dropped"]),
-        z_residual_norm=float(doc["z_residual_norm"]),
-        y_residual_norm=float(doc["y_residual_norm"]),
+        n_dropped=artifact.typed(doc, "n_dropped", int, "an integer"),
+        z_residual_norm=artifact.number(doc, "z_residual_norm"),
+        y_residual_norm=artifact.number(doc, "y_residual_norm"),
     )

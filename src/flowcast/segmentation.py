@@ -17,6 +17,7 @@ grids with row ``t-1`` holding interval ``t``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,9 @@ class PeriodPlan:
     params: np.ndarray
 
     def __post_init__(self) -> None:
+        if not all(isinstance(t, Integral) and not isinstance(t, bool)
+                   for t in self.switch_times):
+            raise ValueError(f"switch_times {self.switch_times} must be integers")
         object.__setattr__(self, "switch_times", tuple(int(t) for t in self.switch_times))
         params = np.array(self.params, dtype=float)
         params.setflags(write=False)
@@ -71,6 +75,8 @@ class PeriodPlan:
             raise ValueError(f"switch times {self.switch_times} do not partition [1, {t}]")
         if params.shape[0] != s:
             raise ValueError(f"expected {s} parameter vectors, got {params.shape[0]}")
+        if not np.all(np.isfinite(params)):
+            raise ValueError("plan parameters must be finite")
 
     def periods(self) -> list[tuple[int, int]]:
         """Inclusive (start, end) interval ranges, covering [1, T]."""
@@ -105,13 +111,6 @@ class SegmentationPlan(PeriodPlan):
 
     total_cost: float
     interval_minutes: int | None = None
-
-    def period_of(self, t: int) -> int:
-        """0-based index of the period containing interval ``t``."""
-        for i, (a, b) in enumerate(self.periods()):
-            if a <= t <= b:
-                return i
-        raise ValueError(f"interval {t} outside [1, {self.n_intervals}]")
 
 
 def _check_grid(x: np.ndarray) -> np.ndarray:
@@ -149,8 +148,8 @@ def _window_cost(windows: np.ndarray, penalty: float) -> tuple[np.ndarray, np.nd
     each, one row per movement.  Returns (cost, mu), both (B, M).  With a
     row's values sorted ascending, the candidate parameter for the
     breakpoint scan with j values at or below it is a weighted average
-    ``(sum_below + penalty * sum_above) / (j + penalty * (n - j))``; the
-    candidate consistent with its own interval is the global minimizer.
+    ``(sum_below + penalty * sum_above) / (j + penalty * (n - j))``, the
+    stationary point of the fit on the bracket ``[vals[j-1], vals[j]]``.
     Every sum runs along the contiguous interval axis, so a window's cost
     depends neither on the memory layout of the grid it came from nor on
     the other windows in the batch.
@@ -164,28 +163,14 @@ def _window_cost(windows: np.ndarray, penalty: float) -> tuple[np.ndarray, np.nd
     cand *= penalty
     cand += pref
     cand /= j + penalty * (n - j)
-    # valid = (lo <= cand <= hi) with lo = [-inf, vals] and hi = [vals, inf].
-    valid = np.empty(cand.shape, dtype=bool)
-    np.less_equal(cand[..., :-1], vals, out=valid[..., :-1])
-    valid[..., -1] = cand[..., -1] <= np.inf
-    valid[..., 1:] &= cand[..., 1:] >= vals
-    valid[..., 0] &= cand[..., 0] >= -np.inf
-    pick = valid.argmax(axis=-1)
-    mu = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
-    for row, col in zip(*np.nonzero(~valid.any(axis=-1))):
-        # Floating-point corner case: no candidate lands in its own interval.
-        # Fall back to evaluating every clipped candidate for that movement.
-        lo = np.concatenate([[-np.inf], vals[row, col]])
-        hi = np.concatenate([vals[row, col], [np.inf]])
-        best_cost, best_mu = np.inf, 0.0
-        for c in np.clip(cand[row, col], lo, hi):
-            if not np.isfinite(c):
-                continue
-            d = windows[row, col] - c
-            cost = float(np.sum(np.where(d > 0, penalty, 1.0) * d * d))
-            if cost < best_cost:
-                best_cost, best_mu = cost, float(c)
-        mu[row, col] = best_mu
+    # The fit's derivative is nondecreasing, so the minimizer is the first
+    # candidate at or below its bracket's top, clipped up to its bottom.
+    below = np.ones(cand.shape, dtype=bool)
+    np.less_equal(cand[..., :-1], vals, out=below[..., :-1])
+    pick = below.argmax(axis=-1)[..., None]
+    mu = np.take_along_axis(cand, pick, axis=-1)[..., 0]
+    lo = np.take_along_axis(vals, np.maximum(pick - 1, 0), axis=-1)[..., 0]
+    np.copyto(mu, lo, where=(pick[..., 0] > 0) & (mu < lo))
     # Weighted squares w * diff * diff, w = penalty above mu and 1 below.
     diff = np.subtract(windows, mu[..., None], out=vals)
     sq = diff.copy()
@@ -237,10 +222,10 @@ def optimal_segmentation(x: np.ndarray, n_periods: int, cfg: FitConfig,
                          costs: np.ndarray | None = None) -> SegmentationPlan:
     """Globally optimal partition of the day into ``n_periods`` periods.
 
-    Dynamic programming over suffixes; cost ties are broken toward the
-    earliest switch times (the lexicographically smallest switch vector).
-    A precomputed ``cost_table`` may be passed to amortize repeated calls
-    with different period counts.
+    Dynamic programming over suffixes, recording each state's first optimal
+    period end, so cost ties are broken toward the earliest switch times (the
+    lexicographically smallest switch vector).  A precomputed ``cost_table``
+    may be passed to amortize repeated calls with different period counts.
     """
     x = _check_grid(x)
     t = x.shape[0]
@@ -249,38 +234,29 @@ def optimal_segmentation(x: np.ndarray, n_periods: int, cfg: FitConfig,
     if costs is None:
         costs = cost_table(x, cfg)
 
-    # best[k, a] = optimal cost of covering [a, T] with k periods.
+    # best[k, a] = optimal cost of covering [a, T] with k periods, and
+    # end[k, a] the smallest end of its first period that attains it.
     best = np.full((n_periods + 1, t + 2), np.inf)
+    end = np.zeros((n_periods + 1, t + 2), dtype=int)
     best[1, 1 : t + 1] = costs[1 : t + 1, t]
     for k in range(2, n_periods + 1):
-        for a in range(1, t - k + 2):
-            ends = np.arange(a, t - k + 2)
-            best[k, a] = np.min(costs[a, ends] + best[k - 1, ends + 1])
+        last = t - k + 1  # latest end that leaves k - 1 periods
+        totals = costs[1 : last + 1, 1 : last + 1] + best[k - 1, 2 : last + 2]
+        totals[np.tri(last, k=-1, dtype=bool)] = np.inf  # ends before their start
+        end[k, 1 : last + 1] = totals.argmin(axis=1) + 1
+        best[k, 1 : last + 1] = totals.min(axis=1)
 
-    # Front-to-back reconstruction, taking the smallest optimal end each time.
-    # Recomputing the same sums guarantees an exact float match with best[k, a].
-    switches: list[int] = []
-    a = 1
+    bounds = [0]
     for k in range(n_periods, 1, -1):
-        ends = np.arange(a, t - k + 2)
-        totals = costs[a, ends] + best[k - 1, ends + 1]
-        u = int(ends[np.nonzero(totals == best[k, a])[0][0]])
-        switches.append(u)
-        a = u + 1
-
-    period_bounds = [0] + switches + [t]
-    params = []
-    total = 0.0
-    for lo, hi in zip(period_bounds, period_bounds[1:]):
-        cost, mu = segment_cost(x, lo + 1, hi, cfg)
-        params.append(mu)
-        total += cost
+        bounds.append(int(end[k, bounds[-1] + 1]))
+    bounds.append(t)
+    fits = [segment_cost(x, lo + 1, hi, cfg) for lo, hi in zip(bounds, bounds[1:])]
     return SegmentationPlan(
         n_periods=n_periods,
         n_intervals=t,
-        switch_times=tuple(switches),
-        params=np.vstack(params),
-        total_cost=total,
+        switch_times=tuple(bounds[1:-1]),
+        params=np.vstack([mu for _, mu in fits]),
+        total_cost=sum(cost for cost, _ in fits),
         interval_minutes=interval_minutes,
     )
 
@@ -298,10 +274,11 @@ def plan_from_json(source: str | Path | dict) -> SegmentationPlan:
     """Load a plan serialized by :func:`plan_to_json`."""
     doc = artifact.read(source, "segmentation_plan")
     return SegmentationPlan(
-        n_periods=int(doc["n_periods"]),
-        n_intervals=int(doc["n_intervals"]),
-        switch_times=tuple(doc["switch_times"]),
-        params=np.asarray(doc["params"], dtype=float),
-        total_cost=float(doc["total_cost"]),
-        interval_minutes=doc.get("interval_minutes"),
+        n_periods=artifact.typed(doc, "n_periods", int, "an integer"),
+        n_intervals=artifact.typed(doc, "n_intervals", int, "an integer"),
+        switch_times=artifact.typed(doc, "switch_times", list, "a list"),
+        params=artifact.array(doc, "params", 2),
+        total_cost=artifact.number(doc, "total_cost"),
+        interval_minutes=artifact.typed(doc, "interval_minutes", (int, type(None)),
+                                        "an integer or null"),
     )

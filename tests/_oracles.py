@@ -177,8 +177,9 @@ def window_cost(window: np.ndarray, penalty: float) -> tuple[np.ndarray, np.ndar
     Returns (cost_per_movement, mu_per_movement) for a (n, M) window.  With
     values sorted ascending, the candidate parameter for the breakpoint scan
     with j values at or below it is a weighted average
-    ``(sum_below + penalty * sum_above) / (j + penalty * (n - j))``; the
-    candidate consistent with its own interval is the global minimizer.
+    ``(sum_below + penalty * sum_above) / (j + penalty * (n - j))``.  The
+    fit's derivative is nondecreasing, so the first candidate at or below its
+    upper breakpoint, clipped up to its lower one, is the global minimizer.
     """
     n, m = window.shape
     vals = np.sort(window, axis=0)
@@ -186,28 +187,12 @@ def window_cost(window: np.ndarray, penalty: float) -> tuple[np.ndarray, np.ndar
     total = pref[-1]
     j = np.arange(n + 1, dtype=float)[:, None]
     cand = (pref + penalty * (total - pref)) / (j + penalty * (n - j))
-    neg_inf = np.full((1, m), -np.inf)
-    pos_inf = np.full((1, m), np.inf)
-    lo = np.vstack([neg_inf, vals])
-    hi = np.vstack([vals, pos_inf])
-    valid = (cand >= lo) & (cand <= hi)
+    below = np.vstack([cand[:-1] <= vals, np.ones((1, m), dtype=bool)])
+    pick = below.argmax(axis=0)
     cols = np.arange(m)
-    pick = valid.argmax(axis=0)
     mu = cand[pick, cols]
-    missing = ~valid.any(axis=0)
-    if np.any(missing):
-        # Floating-point corner case: no candidate lands in its own interval.
-        # Fall back to evaluating every clipped candidate for those columns.
-        for col in np.nonzero(missing)[0]:
-            best_cost, best_mu = np.inf, 0.0
-            for b in np.clip(cand[:, col], lo[:, col], hi[:, col]):
-                if not np.isfinite(b):
-                    continue
-                d = window[:, col] - b
-                cost = float(np.sum(np.where(d > 0, penalty, 1.0) * d * d))
-                if cost < best_cost:
-                    best_cost, best_mu = cost, float(b)
-            mu[col] = best_mu
+    lo = vals[np.maximum(pick - 1, 0), cols]
+    mu = np.where((pick > 0) & (mu < lo), lo, mu)
     diff = window - mu
     w = np.where(diff > 0, penalty, 1.0)
     return np.sum(w * diff * diff, axis=0), mu

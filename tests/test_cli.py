@@ -154,7 +154,7 @@ def test_loocv_component_count_outside_range_exits_1(dataset_dir, tmp_path, caps
                    "--out-dir", str(tmp_path / "cv"), "--n-components", str(n)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: n_components={n} outside [1, 8] for 9 days\n")
+            f"error: n_components={n} outside [1, 8] for 10 days\n")
 
 
 def test_control_single_date(dataset_dir, tmp_path):
@@ -230,6 +230,57 @@ def test_damaged_bank_cache_is_rebuilt(dataset_dir, tmp_path, capsys):
         assert tree_bytes(out) == first
 
 
+def _null_time(doc):
+    doc["models"][0]["time"] = None
+
+
+def _null_n_dropped(doc):
+    doc["models"][0]["model"]["n_dropped"] = None
+
+
+def _empty_horizons(doc):
+    doc["horizons"] = []
+
+
+def _null_mean_z(doc):
+    doc["models"][0]["model"]["mean_z"] = None
+
+
+def _wrong_loading_shapes(doc):
+    model = doc["models"][0]["model"]
+    model["predictor_loadings"] = model["predictor_loadings"][:-1]
+
+
+def _missing_model(doc):
+    del doc["models"][-1]
+
+
+def _wrong_n_movements(doc):
+    doc["n_movements"] += 1
+
+
+@pytest.mark.parametrize("damage", [_null_time, _null_n_dropped, _empty_horizons,
+                                    _null_mean_z, _wrong_loading_shapes, _missing_model,
+                                    _wrong_n_movements])
+def test_damaged_bank_cache_is_refitted(damage, dataset_dir, tmp_path, capsys):
+    """A cache that parses but does not fit the run is refitted and rewritten."""
+    out = tmp_path / "ctl"
+    argv = ["control", "--input", str(dataset_dir / "flows.csv"), "--out-dir", str(out),
+            "--date", "2024-01-05", "--segments", "3", "--window", "1",
+            "--n-components", "2"]
+    assert main(argv) == 0
+    first = tree_bytes(out)
+    (cache_file,) = (out / "cache").glob("bank_*.json")
+    doc = json.loads(cache_file.read_text())
+    damage(doc)
+    cache_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: refitting damaged bank cache") and err.count("\n") == 1
+    assert tree_bytes(out) == first  # cache rewritten, delay_report.json unchanged
+
+
 def test_rerun_same_out_dir_is_byte_identical(tmp_path):
     cfg = write_synth_config(tmp_path / "config.json")
     out = tmp_path / "synth"
@@ -279,6 +330,32 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'n_periods'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("n_periods", None, "'n_periods' must be an integer"),
+    ("switch_times", None, "'switch_times' must be a list"),
+    ("switch_times", [10.5], "switch_times [10.5] must be integers"),
+    ("switch_times", [None], "switch_times [None] must be integers"),
+    ("params", None, "'params' must be a 2-D array"),
+    ("params", [[1.0, 2.0, 3.0, float("nan")], [1.0, 2.0, 3.0, 4.0]], "'params' must be"),
+    ("interval_minutes", "15", "'interval_minutes' must be an integer"),
+    ("interval_minutes", 30, "30-minute intervals"),
+])
+def test_bad_plan_exits_1(field, value, named, dataset_dir, tmp_path, capsys):
+    seg = tmp_path / "seg"
+    assert main(["segment", "--input", str(dataset_dir / "flows.csv"),
+                 "--out-dir", str(seg), "--segments", "2"]) == 0
+    doc = json.loads((seg / "plan.json").read_text())
+    doc[field] = value
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["control", "--input", str(dataset_dir / "flows.csv"), "--plan", str(plan),
+               "--out-dir", str(tmp_path / "ctl"), "--window", "1", "--n-components", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and err.count("\n") == 1
 
 
 def test_version_flag(capsys):
