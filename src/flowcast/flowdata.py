@@ -9,10 +9,10 @@ averaged over one recording interval.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from datetime import date as _date
-from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -161,9 +161,6 @@ class FlowDataset:
                 return i
         raise ValidationError(f"date {date_label!r} not in dataset")
 
-    def day_vector(self, index: int) -> np.ndarray:
-        return self.flows[index]
-
     def day_grid(self, index: int) -> np.ndarray:
         """Day ``index`` as a (T, M) grid: row t is interval t+1 across movements."""
         return vector_to_grid(self.flows[index], self.intervals_per_day, self.n_movements)
@@ -231,35 +228,35 @@ class SplitSpec:
             )
 
     @property
-    def predictor_width(self) -> int:
-        return self.cutoff_index // self.predictor_stride
-
-    @property
     def predicted_width(self) -> int:
         return (self.predict_to - self.predict_from + 1) // self.predicted_stride
 
 
-# Lines read at a time by ``_parse_rows``.  A block's fields exist as Python
-# strings only while that block is parsed, so the parser's memory follows the
-# row count (integer codes and a float per row), not the file's text.  A
-# block's arrays (32 KiB each) stay below glibc's mmap threshold, so each
-# block reuses the heap memory the previous one freed and a load faults in
-# few fresh pages, whose cost varies with the host.
-_BLOCK_LINES = 1 << 12
+# Lines tokenized at a time by ``_parse_rows``.  The file is read as bytes,
+# ``_BLOCK_LINES << 6`` at a time (more when a line is longer), and each
+# block's line ends, commas and plain lines are found with numpy.  Python
+# objects exist only for a block's distinct dates, movements and interval
+# indices, its flows (one float each) and the few lines that are not plain,
+# so the parser's memory follows the row count (integer codes and a float per
+# row), not the file's text.
+_BLOCK_LINES = 1 << 14
+# The longest line taken as plain, so a block's fixed-width field arrays stay
+# below ``_BLOCK_LINES * _PLAIN_BYTES`` bytes each; a longer line is decoded.
+_PLAIN_BYTES = 256
 
 
 class _Rows(NamedTuple):
     """The validated data rows of a long-format CSV, one array entry per row."""
 
-    dates: list[str]       # distinct date labels, in order of first appearance
-    movements: list[str]   # distinct movement labels, likewise
+    dates: list[str]       # distinct date labels
+    movements: list[str]   # distinct movement labels
     day: np.ndarray        # index into ``dates``
     movement: np.ndarray   # index into ``movements``
     interval: np.ndarray   # 0-based interval index
     flow: np.ndarray
 
 
-def _parsed(parse, text: str):
+def _parsed(parse, text):
     """``parse(text)``, or the ``ValueError`` it raises."""
     try:
         return parse(text)
@@ -274,8 +271,8 @@ def _movement_label(label: str) -> str:
 
 
 class _Column:
-    """One text column's distinct stripped values, in order of first
-    appearance, each parsed once; each distinct raw value is stripped once."""
+    """One text column's distinct stripped values, each parsed once; each
+    distinct raw value is stripped once."""
 
     def __init__(self, parse) -> None:
         self.parse = parse
@@ -299,6 +296,17 @@ class _Column:
             self._raw_code[text] = self._code[value]
         return np.fromiter(map(self._raw_code.__getitem__, raw), np.intp, len(raw))
 
+    def cell_codes(self, cells: np.ndarray) -> np.ndarray:
+        """``codes`` of fixed-width ASCII cells: only the distinct cells (run
+        heads, then ``np.unique``) are decoded."""
+        if not len(cells):
+            return np.empty(0, np.intp)
+        keys = cells.view(np.uint64) if cells.itemsize == 8 else cells
+        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        distinct, inverse = np.unique(keys[heads], return_inverse=True)
+        codes = self.codes([v.decode("ascii") for v in distinct.view(cells.dtype).tolist()])
+        return np.repeat(codes[inverse], np.diff(heads, append=len(cells)))
+
 
 def _csv_fields(line: str) -> list[str] | csv.Error:
     try:
@@ -307,39 +315,109 @@ def _csv_fields(line: str) -> list[str] | csv.Error:
         return exc
 
 
-def _split_fields(lines: list[str]) -> tuple[list[list[str]], tuple[int, str] | None]:
-    """Split data lines into their four raw fields, as columns.
+def _floats(texts: list) -> tuple[np.ndarray, np.ndarray]:
+    """``float`` of each text (``str`` or ASCII ``bytes``, which it reads
+    alike), with 0.0 and a set flag where it raises."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts)), np.zeros(len(texts), bool)
+    except ValueError:
+        parsed = [_parsed(float, text) for text in texts]
+        bad = np.array([isinstance(v, ValueError) for v in parsed], dtype=bool)
+        return np.array([0.0 if x else v for v, x in zip(parsed, bad)], dtype=float), bad
 
-    A line with three commas, no quote and no field over the csv module's
-    limit splits as ``str.split`` does; all such lines split in one call.
-    The others go through the csv module one at a time.  When a line is not
-    four CSV fields, the columns stop just before it and its index and error
-    are returned too.
+
+def _line_blocks(fh):
+    """Yield a binary file as blocks of up to ``_BLOCK_LINES`` lines: the
+    block's bytes and the offset just past each line.  A line ends at \\n,
+    \\r\\n or a lone \\r, as a text-mode file with ``newline=""`` reads it."""
+    rest = b""
+    while True:
+        data = fh.read(max(_BLOCK_LINES << 6, len(rest)))
+        buf = rest + data
+        b = np.frombuffer(buf, np.uint8)
+        ends = np.flatnonzero(b == 10) + 1
+        cr = np.flatnonzero(b == 13)
+        lone = cr[b[np.minimum(cr + 1, len(b) - 1)] != 10]
+        if len(lone):
+            ends = np.sort(np.concatenate((ends, lone + 1)))
+        if data:
+            # A \r last in the buffer may begin a \r\n.  The lines after
+            # the last whole block wait for the next read.
+            ends = ends[ends < len(buf)]
+            ends = ends[:len(ends) - len(ends) % _BLOCK_LINES]
+        elif len(buf) > (ends[-1] if len(ends) else 0):
+            ends = np.append(ends, len(buf))   # a last line without a terminator
+        start = 0
+        for i in range(0, len(ends), _BLOCK_LINES):
+            block = ends[i:i + _BLOCK_LINES]
+            yield buf[start:block[-1]], block - start
+            start = int(block[-1])
+        if not data:
+            return
+        rest = buf[start:]
+
+
+def _tokenize(b: np.ndarray, ends: np.ndarray):
+    """Per line of a block: content start and stop (terminator dropped), the
+    index of its first comma in the block's comma offsets, those offsets,
+    and masks of plain and of blank-or-comment lines.
+
+    A plain line is printable ASCII with no quote, no space at either edge,
+    exactly three commas and at most ``csv.field_size_limit()`` characters:
+    ``str.strip`` leaves it as it is, and the csv module splits it at its
+    commas.  A comment here is such a line starting with ``#``; every line
+    that is neither plain, blank nor such a comment is decoded.
     """
-    simple = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) == 3
-    limit = csv.field_size_limit()
-    if '"' in "".join(lines) or max(map(len, lines), default=0) > limit:
-        simple &= np.array(['"' not in s and len(s) <= limit for s in lines], dtype=bool)
-    cells = np.empty((len(lines), 4), dtype=object)
-    if simple.any():
-        flat = ",".join(compress(lines, simple)).split(",")
-        cells[simple] = np.array(flat, dtype=object).reshape(-1, 4)
-    n, broken = len(lines), None
-    for i in np.flatnonzero(~simple):
-        fields = _csv_fields(lines[i])
-        if isinstance(fields, csv.Error):
-            n, broken = i, (i, f"malformed CSV row: {fields}")
-            break
-        if len(fields) != 4:
-            n, broken = i, (i, f"expected 4 fields, got {len(fields)}")
-            break
-        cells[i] = fields
-    return [cells[:n, k].tolist() for k in range(4)], broken
+    starts = np.concatenate(([0], ends[:-1]))
+    last = b[ends - 1]
+    stops = ends - ((last == 10) | (last == 13))
+    stops -= (last == 10) & (stops > starts) & (b[stops - 1] == 13)
+    # Per line, the count of commas and of odd bytes (a quote, or outside
+    # 32..126, where b - 32 wraps) up to its end; no comma is in a
+    # terminator, and every terminator byte is odd.
+    commas = np.flatnonzero(b == 44)
+    upto = np.searchsorted(commas, ends)
+    first = np.concatenate(([0], upto[:-1]))
+    odd = np.searchsorted(np.flatnonzero(((b - 32) > 94) | (b == 34)), ends)
+    clean = ((np.diff(odd, prepend=0) == ends - stops)
+             & (stops > starts) & (b[starts] != 32) & (b[stops - 1] != 32))
+    comment = clean & (b[starts] == 35)
+    plain = (clean & ~comment & (upto - first == 3)
+             & (stops - starts <= min(csv.field_size_limit(), _PLAIN_BYTES)))
+    return starts, stops, first, commas, plain, comment | (stops == starts)
+
+
+def _cells(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The byte ranges ``[lo, hi)`` of ``b`` as a fixed-width bytes array,
+    zero-padded to 8 bytes or more (8-byte cells compare as ``uint64``)."""
+    width = max(int((hi - lo).max(initial=0)), 8)
+    padded = np.concatenate((b, np.zeros(width, np.uint8)))
+    cells = np.lib.stride_tricks.sliding_window_view(padded, width)[lo]
+    cells *= np.arange(width) < (hi - lo)[:, None]
+    return cells.view(f"S{width}")[:, 0]
+
+
+def _decoded(raw: bytes, starts, stops, lines) -> tuple[dict[int, str], tuple | None]:
+    """Decode and strip each of ``lines``, in order, up to the first that is
+    not UTF-8.  Returns the text of each that is neither blank nor a comment,
+    and that first line's index and error message, if any."""
+    texts = {}
+    for i in lines.tolist():
+        try:
+            text = raw[starts[i]:stops[i]].decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            return texts, (i, f"not UTF-8: {exc}")
+        if text and text[0] != "#":
+            texts[i] = text
+    return texts, None
 
 
 def _parse_rows(path: Path, intervals_per_day: int) -> _Rows:
     """Parse and validate the long-format CSV, a block of lines at a time.
 
+    Plain lines (see ``_tokenize``) are split and their fields cut out as
+    bytes; each other line is decoded, stripped and split by the csv
+    module, in line order.  A line that is not UTF-8 is an offending line.
     Within a block each check runs over every row at once (dates, movements
     and interval indices once per distinct value), and the error raised is
     the one a row-by-row reader meets first: the earliest offending line,
@@ -352,44 +430,72 @@ def _parse_rows(path: Path, intervals_per_day: int) -> _Rows:
     header_seen = False
     error = None         # (line number, message) of the earliest offending line
     first_lineno = 1
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        while error is None:
-            # A file iterator ends a line at \n, \r\n or a lone \r.
-            stripped = list(map(str.strip, islice(fh, _BLOCK_LINES)))
-            if not stripped:
-                break
-            keep = [i for i, s in enumerate(stripped) if s and s[0] != "#"]
-            lines = [stripped[i] for i in keep]
-            linenos = np.array(keep, dtype=np.int64) + first_lineno
-            first_lineno += len(stripped)
-            if lines and not header_seen:
-                header = _csv_fields(lines[0])
+    with open(path, "rb") as fh:
+        for raw, ends in _line_blocks(fh):
+            b = np.frombuffer(raw, np.uint8)
+            starts, stops, first, commas, keep, skip = _tokenize(b, ends)
+            texts, broken = _decoded(raw, starts, stops, np.flatnonzero(~(keep | skip)))
+            keep[list(texts)] = True
+            if broken:
+                keep[broken[0]:] = False
+            if not header_seen and keep.any():
+                h = int(np.argmax(keep))
+                line = texts.pop(h, None) or raw[starts[h]:stops[h]].decode("ascii")
+                header = _csv_fields(line)
                 if isinstance(header, csv.Error):
-                    raise ValidationError(f"line {linenos[0]}: malformed CSV row: {header}")
+                    raise ValidationError(f"line {h + first_lineno}: malformed CSV row: {header}")
                 if tuple(f.strip().lower() for f in header) != CSV_HEADER:
-                    raise ValidationError(f"line {linenos[0]}: expected header "
-                                          f"{','.join(CSV_HEADER)!r}, got {lines[0]!r}")
+                    raise ValidationError(f"line {h + first_lineno}: expected header "
+                                          f"{','.join(CSV_HEADER)!r}, got {line!r}")
                 header_seen = True
-                lines, linenos = lines[1:], linenos[1:]
+                keep[h] = False
+            elif not header_seen and broken:
+                raise ValidationError(f"line {broken[0] + first_lineno}: {broken[1]}")
 
-            (date_s, movement_s, interval_s, flow_s), broken = _split_fields(lines)
-            n = len(date_s)
-            day = dates.codes(date_s)
-            movement = movements.codes(movement_s)
-            interval_code = intervals.codes(interval_s)
+            fields = {}   # the four fields of each kept other line
+            for i, text in texts.items():
+                parts = _csv_fields(text)
+                if isinstance(parts, csv.Error):
+                    broken = (i, f"malformed CSV row: {parts}")
+                elif len(parts) != 4:
+                    broken = (i, f"expected 4 fields, got {len(parts)}")
+                else:
+                    fields[i] = parts
+                    continue
+                keep[i:] = False
+                break
+
+            rows = np.flatnonzero(keep)
+            n = len(rows)
+            plain = np.isin(rows, list(fields), invert=True)
+            other = [fields[i] for i in rows[~plain]]
+            lines = rows[plain]
+            c0 = commas[first[lines]]
+            c1, c2 = commas[first[lines] + 1], commas[first[lines] + 2]
+            columns = []
+            for column, lo, hi, k in ((dates, starts[lines], c0, 0),
+                                      (movements, c0 + 1, c1, 1),
+                                      (intervals, c1 + 1, c2, 2)):
+                codes = np.empty(n, np.intp)
+                codes[plain] = column.cell_codes(_cells(b, lo, hi))
+                codes[~plain] = column.codes([f[k] for f in other])
+                columns.append(codes)
+            day, movement, interval_code = columns
             index = np.array([v - 1 if not bad and 1 <= v <= intervals_per_day else -1
                               for v, bad in zip(intervals.parsed, intervals.failed)],
                              dtype=np.int64)
             interval = index[interval_code]
-            # float() ignores surrounding whitespace, as the stripped field would.
-            try:
-                flow = np.fromiter(map(float, flow_s), float, n)
-                bad_flow = np.zeros(n, dtype=bool)
-            except ValueError:
-                parsed = [_parsed(float, text) for text in flow_s]
-                bad_flow = np.array([isinstance(v, ValueError) for v in parsed], dtype=bool)
-                flow = np.array([0.0 if bad else v for v, bad in zip(parsed, bad_flow)],
-                                dtype=float)
+            # float() ignores the spaces a plain field may have at its edges;
+            # another field may have characters str.strip removes and it does not.
+            flow, bad_flow = np.empty(n), np.empty(n, bool)
+            flow[plain], bad_flow[plain] = _floats(_cells(b, c2 + 1, stops[lines]).tolist())
+            flow[~plain], bad_flow[~plain] = _floats([f[3].strip() for f in other])
+
+            def flow_text(i):
+                line = rows[i]
+                if line in fields:
+                    return fields[line][3].strip()
+                return raw[commas[first[line] + 2] + 1:stops[line]].decode("ascii").strip()
 
             bad_interval = np.array(intervals.failed, dtype=bool)[interval_code]
             checks = (
@@ -402,18 +508,22 @@ def _parse_rows(path: Path, intervals_per_day: int) -> _Rows:
                 (~bad_interval & (interval < 0),
                  lambda i: f"interval_index {intervals.parsed[interval_code[i]]} outside "
                            f"[1, {intervals_per_day}]"),
-                (bad_flow, lambda i: f"bad flow_vph {flow_s[i].strip()!r}"),
+                (bad_flow, lambda i: f"bad flow_vph {flow_text(i)!r}"),
                 (~np.isfinite(flow), lambda i: "non-finite flow_vph"),
-                (flow < 0, lambda i: f"negative flow_vph {flow_s[i].strip()}"),
+                (flow < 0, lambda i: f"negative flow_vph {flow_text(i)}"),
             )
+            linenos = rows + first_lineno
             bad = np.logical_or.reduce([mask for mask, _ in checks])
             if bad.any():
                 n = int(np.argmax(bad))
                 describe = next(describe for mask, describe in checks if mask[n])
                 error = (linenos[n], describe(n))
             elif broken:
-                error = (linenos[broken[0]], broken[1])
+                error = (broken[0] + first_lineno, broken[1])
             blocks.append((linenos[:n], day[:n], movement[:n], interval[:n], flow[:n]))
+            first_lineno += len(ends)
+            if error:
+                break
     if not header_seen:
         raise ValidationError(f"{path}: empty file (missing header)")
 
@@ -504,15 +614,17 @@ def save_dataset(
             fh.write(f"# manifest_hash={manifest_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for i, rec in enumerate(ds.days):
-            row = ds.flows[i]
-            for m, movement in enumerate(ds.movements):
-                for k in range(t):
-                    # repr of a float is its shortest round-trip decimal form,
-                    # so load_csv recovers the exact binary64 value.
-                    writer.writerow(
-                        [rec.date, movement, k + 1, repr(float(row[m * t + k]))]
-                    )
+        labels = []   # each label as the csv module writes it, quoted if need be
+        for movement in ds.movements:
+            cell = io.StringIO()
+            csv.writer(cell).writerow([movement])
+            labels.append(cell.getvalue()[:-2])
+        for rec, row in zip(ds.days, ds.flows.tolist()):
+            for m, label in enumerate(labels):
+                # repr of a float is its shortest round-trip decimal form,
+                # so load_csv recovers the exact binary64 value.
+                fh.write("".join(f"{rec.date},{label},{k},{flow!r}\r\n"
+                                 for k, flow in enumerate(row[m * t:(m + 1) * t], 1)))
     meta = artifact.document(None, {
         "interval_minutes": ds.interval_minutes,
         "movements": list(ds.movements),

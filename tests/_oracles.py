@@ -283,6 +283,24 @@ def rowwise_parse_rows(path, intervals_per_day):
     return cells, observed
 
 
+def rowwise_save_dataset(ds, csv_path, manifest_hash=None):
+    """The CSV half of ``flowdata.save_dataset``, one ``csv.writer`` row per
+    cell: the byte reference for the block writer."""
+    t = ds.intervals_per_day
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        if manifest_hash:
+            fh.write(f"# manifest_hash={manifest_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for i, rec in enumerate(ds.days):
+            row = ds.flows[i]
+            for m, movement in enumerate(ds.movements):
+                for k in range(t):
+                    writer.writerow(
+                        [rec.date, movement, k + 1, repr(float(row[m * t + k]))]
+                    )
+
+
 def rowwise_load_csv(path, interval_minutes, movement_order=None):
     """``flowdata.load_csv`` on the row-by-row parser: the parity reference
     for the column-wise one."""

@@ -450,3 +450,31 @@ def test_sidecar_label_csv_cannot_read_back_exits_1(dataset_dir, tmp_path, capsy
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err, err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad_before", [False, True])
+def test_line_that_is_not_utf8_exits_1_naming_it(dataset_dir, tmp_path, capsys, bad_before):
+    """Through ``--input`` and ``predict --sample``: the earliest offending
+    line is named, whether or not it is the one that is not UTF-8."""
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = (dataset_dir / "flows.csv").read_bytes().splitlines()
+    assert lines[1] == b"date,movement,interval_index,flow_vph"
+    lines[5] = lines[5].replace(b",", b",\xff", 1)
+    if bad_before:
+        lines[3] = lines[3].rsplit(b",", 1)[0] + b",-1.0"
+    (data / "flows.csv").write_bytes(b"\r\n".join(lines))
+    (data / "flows.meta.json").write_bytes((dataset_dir / "flows.meta.json").read_bytes())
+    sample = tmp_path / "sample.csv"
+    sample.write_bytes(b"\n".join(lines[1:]))
+    named = "line 4: negative flow_vph -1.0" if bad_before else "line 6: not UTF-8:"
+    named_in_sample = named.replace("line 4", "line 3").replace("line 6", "line 5")
+    for argv, expected in (
+        (["pca", "--input", str(data / "flows.csv")], named),
+        (["predict", "--input", str(dataset_dir / "flows.csv"), "--sample", str(sample),
+          "--cutoff", "10"], named_in_sample),
+    ):
+        rc = main(argv + ["--out-dir", str(tmp_path / "o")])
+        assert rc == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}") and err.count("\n") == 1, err

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowcast import (
@@ -33,7 +33,7 @@ from flowcast.flowdata import (
     split_day_vector,
 )
 
-from _oracles import rowwise_load_csv, rowwise_read_sample
+from _oracles import rowwise_load_csv, rowwise_read_sample, rowwise_save_dataset
 
 
 def write_rows(path, rows, header="date,movement,interval_index,flow_vph"):
@@ -309,11 +309,18 @@ def test_mean_profile_matches_numpy(noisy):
 # parser reads the file in blocks of ``_BLOCK_LINES`` lines; small blocks put
 # the header, duplicates and bad rows in any block, or across two.
 
-LABELS = ("NB T", "SB LT", "NB,L", 'S"B', '"q"', "#mv", "EB " + "x" * 70 + ",long")
+LABELS = ("NB T", "SB LT", "NB,L", 'S"B', '"q"', "#mv", "EB " + "x" * 70 + ",long",
+          "\u00d6st\u00a0T")
+# Characters put at line and field edges: ASCII whitespace, non-ASCII
+# whitespace, and \x1c-\x1f, which str.strip removes but float rejects.
+EDGES = (("",), ("", " ", "\t"), ("", "\u00a0", "\u2002", "\u0085"), ("", "\x1c", "\x1f"))
+# The csv module's field size limit while the parity tests run: lines with
+# the long label are longer, and the "wide" corruption's field is too.
+FIELD_LIMIT = 90
 DATES = ("2024-01-01", "2024-01-02", "2024-02-29", "2023-12-31")
 CORRUPTIONS = ("date", "other-date", "no-movement", "interval", "interval-range",
                "flow", "flow-nan", "flow-negative", "duplicate", "drop", "short",
-               "long", "open-quote", "new-movement")
+               "long", "open-quote", "new-movement", "wide")
 
 
 def csv_line(fields):
@@ -325,9 +332,10 @@ def csv_line(fields):
 @st.composite
 def flow_files(draw, one_date=False):
     """(text, interval_minutes, movements) of a small long-format CSV with
-    shuffled rows, comments, blank lines, quoted labels and up to two
-    corrupted rows."""
+    shuffled rows, comments, blank lines, quoted labels, padded lines and
+    fields, mixed line endings and up to two corrupted rows."""
     minutes = draw(st.sampled_from([360, 480, 720]))
+    edges = draw(st.sampled_from(EDGES))
     t = 1440 // minutes
     movements = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
     dates = draw(st.lists(st.sampled_from(DATES), min_size=1, max_size=1 if one_date else 3,
@@ -338,10 +346,10 @@ def flow_files(draw, one_date=False):
         for mv in movements:
             for k in range(1, t + 1):
                 flow = float(r.uniform(0, 2000)) * float(r.choice([1.0, 1e-7, 1e7]))
+                pad = str(r.choice(edges))
                 text = r.choice([repr(flow), f"{flow:.3e}", str(int(flow)),
-                                 f" {flow!r} ", "0", "-0.0"])
-                interval = r.choice([str(k), f" {k}", f"+{k}"])
-                pad = str(r.choice(["", " ", "\t"]))
+                                 f" {flow!r} ", "0", "-0.0", f"{pad}{flow!r}{pad}"])
+                interval = r.choice([str(k), f" {k}", f"+{k}", f"{pad}{k}"])
                 rows.append([pad + d, mv if '"' in mv or "," in mv else mv + pad,
                              interval, text])
     rows = [rows[i] for i in r.permutation(len(rows))]
@@ -369,6 +377,8 @@ def flow_files(draw, one_date=False):
             row[:3] = rows[int(r.integers(len(rows)))][:3]
         elif kind == "new-movement":
             row[1] = "ZZ"
+        elif kind == "wide":
+            row[1] = "W" * (FIELD_LIMIT + 10)
         if kind == "drop":
             lines[i] = ""
         elif kind == "short":
@@ -383,8 +393,14 @@ def flow_files(draw, one_date=False):
     lines.insert(0, header)
     for _ in range(int(r.integers(0, 4))):
         lines.insert(int(r.integers(len(lines) + 1)), str(r.choice(["# note", "", "   ", "#"])))
-    end = str(r.choice(["\n", "\r\n", "\r"]))
-    return end.join(lines) + end * int(r.integers(0, 2)), minutes, movements
+    for i in r.choice(len(lines), size=int(r.integers(0, 3))):
+        lines[i] = str(r.choice(edges)) + lines[i] + str(r.choice(edges))
+    # One ending throughout, or \n with some lone \r among them.
+    ends = [str(r.choice(["\n", "\r\n", "\r", "mixed"]))] * len(lines)
+    if ends[0] == "mixed":
+        ends = [str(e) for e in r.choice(["\n", "\n", "\n", "\r"], size=len(lines))]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if r.integers(0, 2) else text[:-len(ends[-1])], minutes, movements
 
 
 def outcome(fn, *args):
@@ -407,12 +423,24 @@ def scratch_csv(tmp_path_factory):
     return tmp_path_factory.mktemp("ingest") / "flows.csv"
 
 
+@pytest.fixture
+def field_limit():
+    """Lower the csv module's field size limit to ``FIELD_LIMIT``, then
+    restore it."""
+    old = csv.field_size_limit(FIELD_LIMIT)
+    yield
+    csv.field_size_limit(old)
+
+
 BLOCK_LINES = st.sampled_from([1, 2, 3, 7, flowdata._BLOCK_LINES])
+# ``field_limit`` holds for every example of a test, as intended.
+PARITY = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @given(flow_files(), st.booleans(), BLOCK_LINES)
-@settings(max_examples=200, deadline=None)
-def test_load_csv_matches_row_by_row_parser(scratch_csv, case, explicit_order, block):
+@settings(max_examples=200, **PARITY)
+def test_load_csv_matches_row_by_row_parser(scratch_csv, field_limit, case, explicit_order,
+                                            block):
     text, minutes, movements = case
     scratch_csv.write_text(text, encoding="utf-8", newline="")
     order = tuple(reversed(movements)) if explicit_order else None
@@ -422,8 +450,8 @@ def test_load_csv_matches_row_by_row_parser(scratch_csv, case, explicit_order, b
 
 
 @given(flow_files(one_date=True), st.data(), BLOCK_LINES)
-@settings(max_examples=150, deadline=None)
-def test_read_sample_matches_row_by_row_parser(scratch_csv, case, data, block):
+@settings(max_examples=150, **PARITY)
+def test_read_sample_matches_row_by_row_parser(scratch_csv, field_limit, case, data, block):
     text, minutes, movements = case
     scratch_csv.write_text(text, encoding="utf-8", newline="")
     t = 1440 // minutes
@@ -486,3 +514,73 @@ def test_dataset_rejects_days_that_do_not_round_trip(tmp_path, days, named):
     save_dataset(ds, csv_path, meta_path)
     back = load_dataset(csv_path, meta_path)
     assert back.days == ds.days and np.array_equal(back.flows, ds.flows)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_line_blocks_end_lines_where_a_text_mode_file_does(tmp_path, block):
+    """Reads are ``_BLOCK_LINES << 6`` bytes, so the shifts put a \\r\\n
+    across a read boundary, and a \\r last in a read with more to come."""
+    p = tmp_path / "lines.csv"
+    for shift in range(0, (block << 6) + 3):
+        p.write_bytes(b"a" * shift + b"\r\nb\rc\n\r\r\n" + b"d" * 70 + b"\r\ne\r")
+        with open(p, "r", encoding="utf-8", newline="") as fh:
+            expected = list(fh)
+        with mock.patch.object(flowdata, "_BLOCK_LINES", block), open(p, "rb") as fh:
+            got = [raw[a:b].decode() for raw, ends in flowdata._line_blocks(fh)
+                   for a, b in zip([0, *ends[:-1]], ends)]
+        assert got == expected, shift
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, flowdata._BLOCK_LINES])
+@pytest.mark.parametrize("bad, named", [
+    ([], 4),                                   # only the line that is not UTF-8
+    ([(3, "2024-01-01,A,1,-1.0")], 3),         # a bad row before it wins
+    ([(5, "2024-01-01,A,1,-1.0")], 4),         # it wins over a bad row after it
+    ([(3, "2024-01-01,A,1")], 3),              # so does a short row before it
+])
+def test_line_that_is_not_utf8_is_an_offending_line(tmp_path, block, bad, named):
+    lines = [b"# note", b"date,movement,interval_index,flow_vph"]
+    lines += [f"2024-01-01,A,{k},{k}.5".encode() for k in range(1, 5)]
+    lines.insert(3, b"2024-01-01,\xffA,2,1.0")
+    for i, line in bad:
+        lines[i - 1] = line.encode()
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with mock.patch.object(flowdata, "_BLOCK_LINES", block):
+        with pytest.raises(ValidationError, match=rf"^line {named}: ") as err:
+            load_csv(p, 360)
+    assert ("not UTF-8" in str(err.value)) == (named == 4)
+
+
+def test_header_that_is_not_utf8_is_an_offending_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"\n# note\ndate,movement,interval_index,flow_vph\xe9\n")
+    with pytest.raises(ValidationError, match="^line 3: not UTF-8: .* position 37"):
+        load_csv(p, 360)
+
+
+FLOWS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                                   1.7976931348623157e308, 1e300, 0.1, 118.66]),
+                  st.floats(0.0, 1e6))
+
+
+@given(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True),
+       st.sampled_from([1440, 720, 360, 240, 60]), st.integers(1, 3),
+       st.sampled_from([None, "ab12"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_save_dataset_writes_the_row_writer_bytes(scratch_csv, movements, minutes, n_days,
+                                                  manifest_hash, data):
+    t = 1440 // minutes
+    flows = data.draw(st.lists(FLOWS, min_size=n_days * t * len(movements),
+                               max_size=n_days * t * len(movements)))
+    dates = [f"2024-01-{d:02d}" for d in range(1, n_days + 1)]
+    ds = FlowDataset(days=tuple(DayRecord(d, day_of_week_tag(d)) for d in dates),
+                     flows=np.array(flows).reshape(n_days, -1), interval_minutes=minutes,
+                     movements=tuple(movements))
+    meta_path = scratch_csv.with_suffix(".meta.json")
+    save_dataset(ds, scratch_csv, meta_path, manifest_hash)
+    written = scratch_csv.read_bytes()
+    rowwise_save_dataset(ds, scratch_csv, manifest_hash)
+    assert written == scratch_csv.read_bytes()
+    back = load_dataset(scratch_csv, meta_path)
+    assert back.flows.view(np.uint64).tobytes() == ds.flows.view(np.uint64).tobytes()
