@@ -14,13 +14,14 @@ are never revisited.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import artifact
-from .delay import SCENARIOS, DelayReport, IntersectionConfig, lower_bound_delay, simulate_day
+from .delay import SCENARIOS, DelayReport, IntersectionConfig, lower_bound_delays, simulate_day
 from .flowdata import FlowDataset, SplitSpec, split_at
 from .pls import PlsModel, fit_pls_kernel, predict, pls_to_json, pls_from_json
 from .segmentation import FitConfig, PeriodPlan, SegmentationPlan, fit_value, segment_cost
@@ -291,19 +292,23 @@ def evaluate_days(ds: FlowDataset, indices: list[int], nominal: SegmentationPlan
     """Score each day in ``indices`` under every delay scenario.
 
     Runs the controller in both modes (``cfg`` with its ``mode`` replaced)
-    and simulates the nominal plan, both predictive plans and the
-    clairvoyant lower bound.  Returns ``(report, seg-only plan, seg+params
+    on every day first.  One ``lower_bound_delays`` call then solves every
+    plan row ``ic``'s memo lacks together with the clairvoyant lower bounds
+    of all days, so simulating the nominal plan and both predictive plans
+    only reads the memo.  Returns ``(report, seg-only plan, seg+params
     plan)`` per day, in the order of ``indices``.
     """
     mode_cfgs = [replace(cfg, mode=mode) for mode in (ControllerMode.SEGMENTATION_ONLY,
                                                       ControllerMode.SEGMENTATION_AND_PARAMS)]
+    days = [ds.day_grid(idx) for idx in indices]
+    plans = [[run_controller(nominal, day, bank, c, fit_cfg) for c in mode_cfgs]
+             for day in days]
+    bounds = lower_bound_delays(days, ic, plans=[nominal, *itertools.chain(*plans)])
     results = []
-    for idx in indices:
-        day = ds.day_grid(idx)
-        plans = [run_controller(nominal, day, bank, c, fit_cfg) for c in mode_cfgs]
-        traces = [simulate_day(day, p, ic) for p in (nominal, *plans)]
-        traces.append(lower_bound_delay(day, ic))
-        results.append((DelayReport(ds.days[idx].date, dict(zip(SCENARIOS, traces))), *plans))
+    for idx, day, day_plans, bound in zip(indices, days, plans, bounds):
+        traces = [simulate_day(day, p, ic) for p in (nominal, *day_plans)] + [bound]
+        results.append((DelayReport(ds.days[idx].date, dict(zip(SCENARIOS, traces))),
+                        *day_plans))
     return results
 
 

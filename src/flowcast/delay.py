@@ -35,6 +35,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # lower bound for whole-plan evaluations at reporting precision.
 _SWEEP_TOL = 1e-13
 _MAX_SWEEPS = 200
+# Rows per ``_solve_batch`` call in ``lower_bound_delays``: a call costs about
+# as much for 4 rows as for 96, while memory grows with the rows.
+_ROW_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +49,10 @@ class IntersectionConfig:
     ``saturation_flow`` broadcast from scalars.  Equality and hash compare the
     init fields by value, arrays included.
 
-    Each instance memoizes the greens of the plan rows ``simulate_day`` has
-    solved, keyed by the row's bytes; it takes no part in equality, hash or
-    repr, and ``dataclasses.replace`` starts a copy with an empty memo.
+    Each instance memoizes the greens of the plan rows ``lower_bound_delays``
+    has solved (for itself or for ``simulate_day``), keyed by the row's
+    bytes; it takes no part in equality, hash or repr, and
+    ``dataclasses.replace`` starts a copy with an empty memo.
     """
 
     phases: tuple[tuple[int, ...], ...]
@@ -309,35 +313,58 @@ def simulate_day(day_grid: np.ndarray, plan, ic: IntersectionConfig) -> DelayTra
 
     Splits are computed once per period from its parameter vector (clipped
     at zero); each interval contributes ``sum_m flow_m * d_m / 3600`` to the
-    rate.  The total is exactly ``sum(rates) * analysis_period_hours``.  Only
-    rows missing from ``ic``'s memo are solved, in one batch: a row's greens
-    do not depend on the rows that share its batch, so a memo hit is exact.
-    Plan rows recur (the nominal plan on every day, its rows in a
-    segmentation-only plan); measured rows do not, so ``lower_bound_delay``
-    and ``green_splits`` solve every time.
+    rate.  The total is exactly ``sum(rates) * analysis_period_hours``.  Rows
+    missing from ``ic``'s memo are solved by ``lower_bound_delays``; a row's
+    greens do not depend on the rows that share its batch, so a memo hit is
+    exact.
     """
     day = np.asarray(day_grid, dtype=float)
     t_total = plan.n_intervals
     if day.shape != (t_total, ic.n_movements) or plan.params.shape[1:] != day.shape[1:]:
         raise ValueError(f"day grid shape {day.shape} or plan params shape "
                          f"{plan.params.shape} does not fit ({t_total}, {ic.n_movements})")
-    rows = np.maximum(plan.params, 0.0)
-    keys = [row.tobytes() for row in rows]
+    lower_bound_delays((), ic, plans=(plan,))
     memo = ic._plan_greens
-    missing = {k: i for i, k in enumerate(keys) if k not in memo}
-    if missing:
-        g, _ = _solve_batch(rows[list(missing.values())], ic)
-        memo.update(zip(missing, g))
-    g = np.stack([memo[k] for k in keys])
+    g = np.stack([memo[row.tobytes()] for row in np.maximum(plan.params, 0.0)])
     return _trace(day, np.repeat(g, [b - a + 1 for a, b in plan.periods()], axis=0), ic)
 
 
+def lower_bound_delays(day_grids, ic: IntersectionConfig, plans=()) -> list[DelayTrace]:
+    """Clairvoyant benchmark of each day: per-interval optimal splits on the
+    true flows.
+
+    Also solves the distinct plan rows (clipped at zero) of ``plans`` that
+    ``ic``'s memo lacks, and memoizes them.  Plan rows come first, then every
+    day's measured rows; they are solved in chunks of ``_ROW_BUDGET`` rows,
+    so memory stays bounded and each chunk pays the solver's per-call
+    overhead once.  Plan rows recur (the nominal plan on every day, its rows
+    in a segmentation-only plan); measured rows do not, so they are not
+    memoized.  Every day grid is checked before anything is solved.
+    """
+    days = [np.asarray(d, dtype=float) for d in day_grids]
+    for day in days:
+        if day.ndim != 2 or day.shape[1] != ic.n_movements:
+            raise ValueError(f"day grid must be (T, {ic.n_movements})")
+    memo = ic._plan_greens
+    missing = {}
+    for plan in plans:
+        for row in np.maximum(plan.params, 0.0):
+            key = row.tobytes()
+            if key not in memo:
+                missing.setdefault(key, row)
+    rows = np.concatenate([np.reshape(list(missing.values()), (-1, ic.n_movements)), *days])
+    greens = [_solve_batch(rows[i:i + _ROW_BUDGET], ic)[0]
+              for i in range(0, len(rows), _ROW_BUDGET)]
+    g = np.concatenate(greens) if greens else np.empty((0, ic.n_phases))
+    memo.update(zip(missing, g[:len(missing)].copy()))
+    ends = np.cumsum([len(missing)] + [len(day) for day in days])
+    return [_trace(day, g[a:b], ic) for day, a, b in zip(days, ends[:-1], ends[1:])]
+
+
 def lower_bound_delay(day_grid: np.ndarray, ic: IntersectionConfig) -> DelayTrace:
-    """Clairvoyant benchmark: per-interval optimal splits on the true flows."""
-    day = np.asarray(day_grid, dtype=float)
-    if day.ndim != 2 or day.shape[1] != ic.n_movements:
-        raise ValueError(f"day grid must be (T, {ic.n_movements})")
-    return _trace(day, _solve_batch(day, ic)[0], ic)
+    """Clairvoyant benchmark of one day: ``lower_bound_delays`` of that day."""
+    (trace,) = lower_bound_delays((day_grid,), ic)
+    return trace
 
 
 SCENARIOS = ("nominal", "predictive_seg", "predictive_seg_params", "lower_bound")

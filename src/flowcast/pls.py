@@ -224,8 +224,9 @@ def _power_leading_score(kz: np.ndarray, ky: np.ndarray,
     return v, lam
 
 
-def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int,
-                   z_scale: float) -> tuple[list[np.ndarray], int, np.ndarray, np.ndarray]:
+def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int, z_scale: float,
+                   residuals: bool = False
+                   ) -> tuple[list[np.ndarray], int, tuple[float, float] | None]:
     """Unsigned day scores from centered kernels by power iteration and deflation.
 
     ``kz`` and ``ky`` are the centered day-by-day kernels and ``z_scale`` is
@@ -233,8 +234,10 @@ def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int,
     eigenvector of the deflated ``kz @ ky``; deflation projects both kernels
     onto the orthogonal complement of the score.  A score's sign does not
     change the projection, so callers may fix signs afterwards.  Returns
-    (scores, number dropped, deflated kz, deflated ky), warning when
-    components are dropped.
+    (scores, number dropped, residual norms), warning when components are
+    dropped.  The residual norms of Z and Y come from the traces of the fully
+    deflated kernels; without ``residuals`` they are None, and the kernels
+    are deflated only while another score is wanted.
     """
     kz_cur, ky_cur = kz, ky
     tiny = np.finfo(float).eps * float(np.linalg.norm(kz) * np.linalg.norm(ky))
@@ -256,10 +259,14 @@ def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int,
             )
             break
         omegas.append(omega)
-        proj = np.eye(len(omega)) - np.outer(omega, omega)
-        kz_cur = proj @ kz_cur @ proj
-        ky_cur = proj @ ky_cur @ proj
-    return omegas, dropped, kz_cur, ky_cur
+        if residuals or i + 1 < n_components:
+            proj = np.eye(len(omega)) - np.outer(omega, omega)
+            kz_cur = proj @ kz_cur @ proj
+            ky_cur = proj @ ky_cur @ proj
+    if not residuals:
+        return omegas, dropped, None
+    return omegas, dropped, (np.sqrt(max(np.trace(kz_cur), 0.0)),
+                             np.sqrt(max(np.trace(ky_cur), 0.0)))
 
 
 def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
@@ -275,8 +282,8 @@ def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
     z, y = _validate_fit_args(z, y, n_components)
     mean_z, mean_y = z.mean(axis=0), y.mean(axis=0)
     zc, yc = z - mean_z, y - mean_y
-    scores, dropped, kz_cur, ky_cur = _kernel_scores(
-        zc @ zc.T, yc @ yc.T, n_components, np.linalg.norm(zc))
+    scores, dropped, (z_res, y_res) = _kernel_scores(
+        zc @ zc.T, yc @ yc.T, n_components, np.linalg.norm(zc), residuals=True)
 
     omegas, ps, cs = [], [], []
     for omega in scores:
@@ -287,9 +294,7 @@ def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
         ps.append(p)
         cs.append(c)
 
-    # Residual norms follow from the deflated kernels' traces.
-    return _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped,
-                     np.sqrt(max(np.trace(kz_cur), 0.0)), np.sqrt(max(np.trace(ky_cur), 0.0)))
+    return _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped, z_res, y_res)
 
 
 def predict(model: PlsModel, z_sample: np.ndarray) -> np.ndarray:
@@ -370,8 +375,8 @@ def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int) -> list[LoocvReco
     for d in range(n_days):
         keep = np.delete(np.arange(n_days), d)
         kz = _fold_kernel(gz, keep)
-        scores, _, _, _ = _kernel_scores(kz, _fold_kernel(gy, keep), n_components,
-                                         float(np.sqrt(max(np.trace(kz), 0.0))))
+        scores, _, _ = _kernel_scores(kz, _fold_kernel(gy, keep), n_components,
+                                      float(np.sqrt(max(np.trace(kz), 0.0))))
         a = np.zeros(n_days - 1)
         if scores:
             w = np.column_stack(scores)

@@ -3,12 +3,15 @@
 import csv
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from flowcast import FitConfig, fit_value, segment_cost
-from flowcast.delay import (_GOLDEN, _MAX_SWEEPS, _SWEEP_TOL, GreenSplits,
-                            movement_delay)
+from flowcast.controller import ControllerMode, run_controller
+from flowcast.delay import (_GOLDEN, _MAX_SWEEPS, _SWEEP_TOL, SCENARIOS, DelayReport,
+                            GreenSplits, lower_bound_delay, movement_delay,
+                            simulate_day)
 from flowcast.flowdata import (CSV_HEADER, DayRecord, FlowDataset, ValidationError,
                                _split_grid, day_of_week_tag, split_at)
 from flowcast.pls import LoocvRecord, fit_pls_kernel, predict
@@ -373,3 +376,18 @@ def refit_loocv(ds, spec, n_components):
         decrease = 0.0 if e_base == 0.0 else (e_base - e_pred) / e_base
         records.append(LoocvRecord(ds.days[d].date, e_pred, e_base, decrease))
     return records
+
+
+def per_day_evaluate_days(ds, indices, nominal, bank, cfg, fit_cfg, ic):
+    """Score the days one at a time: both controller modes, the three plan
+    simulations and the lower bound of a day before the next day starts."""
+    mode_cfgs = [replace(cfg, mode=mode) for mode in (ControllerMode.SEGMENTATION_ONLY,
+                                                      ControllerMode.SEGMENTATION_AND_PARAMS)]
+    results = []
+    for idx in indices:
+        day = ds.day_grid(idx)
+        plans = [run_controller(nominal, day, bank, c, fit_cfg) for c in mode_cfgs]
+        traces = [simulate_day(day, p, ic) for p in (nominal, *plans)]
+        traces.append(lower_bound_delay(day, ic))
+        results.append((DelayReport(ds.days[idx].date, dict(zip(SCENARIOS, traces))), *plans))
+    return results

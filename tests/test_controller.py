@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,14 +23,14 @@ from flowcast import (
     t_opt,
     vector_to_grid,
 )
-from flowcast import mean_profile, segment_cost
+from flowcast import delay, mean_profile, segment_cost
 from flowcast.controller import (
     PredictivePlan, evaluate_days, plan_horizons, validate_windows,
 )
 from flowcast.delay import SCENARIOS, IntersectionConfig, lower_bound_delay, simulate_day
 from flowcast.segmentation import SegmentationPlan
 
-from _oracles import joint_switch_and_params
+from _oracles import joint_switch_and_params, per_day_evaluate_days
 
 CFG = FitConfig(overflow_penalty=2.0)
 SEG_ONLY = ControllerMode.SEGMENTATION_ONLY
@@ -256,6 +257,58 @@ def test_lower_bound_rate_never_exceeds_a_plan_rate(small):
             assert np.all(bound <= rates + 1e-9 * np.maximum(1.0, rates)), (report.date, name)
             checked += rates.size
     assert checked == 3 * ds.n_days * ds.intervals_per_day
+
+
+@pytest.fixture(scope="module")
+def small_bank(small):
+    """The ``small`` dataset with a four-period nominal plan and a fitted bank."""
+    ds, _ = small
+    profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
+    nominal = optimal_segmentation(profile, 4, CFG)
+    cfg = ControllerConfig(window_halfwidth=2)
+    return ds, nominal, cfg, build_model_bank(ds, nominal, cfg, 2)
+
+
+@pytest.mark.parametrize("budget", [7, 100, None], ids=["7", "100", "default"])
+def test_batched_scoring_matches_the_per_day_loop(small_bank, budget, monkeypatch):
+    """Chunks that cut through plan rows and through days (T = 48) change no
+    bit of any trace or memo entry, and each chunk is one solve."""
+    ds, nominal, cfg, bank = small_bank
+
+    def ic():
+        return IntersectionConfig.default_for(
+            ds.movements, analysis_period_hours=ds.interval_minutes / 60.0)
+
+    indices = list(range(ds.n_days))
+    want_ic = ic()
+    want = per_day_evaluate_days(ds, indices, nominal, bank, cfg, CFG, want_ic)
+    if budget is not None:
+        monkeypatch.setattr(delay, "_ROW_BUDGET", budget)
+    sizes = []
+    core = delay._solve_batch
+
+    def counted(mu, ic):
+        sizes.append(len(mu))
+        return core(mu, ic)
+
+    monkeypatch.setattr(delay, "_solve_batch", counted)
+    got_ic = ic()
+    got = evaluate_days(ds, indices, nominal, bank, cfg, CFG, got_ic)
+
+    rows = len(want_ic._plan_greens) + ds.n_days * ds.intervals_per_day
+    assert sum(sizes) == rows
+    assert len(sizes) == math.ceil(rows / delay._ROW_BUDGET)
+    assert list(got_ic._plan_greens) == list(want_ic._plan_greens)
+    for key, greens in want_ic._plan_greens.items():
+        assert np.array_equal(got_ic._plan_greens[key], greens)
+    for (report, *plans), (ref, *ref_plans) in zip(got, want, strict=True):
+        assert report.date == ref.date
+        for name in SCENARIOS:
+            assert np.array_equal(report.traces[name].rates, ref.traces[name].rates)
+            assert report.traces[name].total == ref.traces[name].total
+        for plan, ref_plan in zip(plans, ref_plans):
+            assert plan.switch_times == ref_plan.switch_times
+            assert np.array_equal(plan.params, ref_plan.params)
 
 
 def test_bank_counts():

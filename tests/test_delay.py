@@ -15,6 +15,7 @@ from flowcast import (
     IntersectionConfig,
     green_splits,
     lower_bound_delay,
+    lower_bound_delays,
     movement_delay,
     optimal_segmentation,
     run_controller,
@@ -353,6 +354,18 @@ def test_capped_solve_warns_once_with_the_count(monkeypatch):
     with pytest.warns(RuntimeWarning, match="2 of 3 rows") as record:
         lower_bound_delay(day, ic)
     assert len(record) == 1
+
+
+def test_bad_day_grid_fails_before_any_solve(monkeypatch):
+    ic = two_phase()
+    good = np.array([[600.0, 200.0], [0.0, 0.0], [300.0, 500.0]])
+    plan = optimal_segmentation(good, 2, CFG)
+    calls = record_batches(monkeypatch)
+    for bad in (np.zeros((3, 3)), np.zeros(6), np.zeros((3, 2, 1))):
+        with pytest.raises(ValueError, match=r"day grid must be \(T, 2\)"):
+            lower_bound_delays([good, bad, good], ic, plans=(plan,))
+    assert calls == [] and ic._plan_greens == {}
+    assert lower_bound_delays([], ic) == [] and calls == []
 
 
 def test_zero_demand_phase_keeps_a_positive_green():
