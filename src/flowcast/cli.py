@@ -29,12 +29,11 @@ from .flowdata import (
     center,
     load_csv,
     load_dataset,
+    load_sample,
     mean_profile,
     save_dataset,
     split_at,
     vector_to_grid,
-    _parse_rows,
-    _split_grid,
 )
 from .lowrank import explained_variance, fit_pca, pca_to_json
 from .pls import fit_pls_kernel, loocv, predict
@@ -222,29 +221,6 @@ def _split_spec_from_args(args, ds: FlowDataset) -> SplitSpec:
     return spec
 
 
-def _read_sample(path: Path, ds: FlowDataset, spec: SplitSpec) -> tuple[str, np.ndarray]:
-    """Read one day's predictor window from an external long-format CSV."""
-    rows = _parse_rows(path, ds.intervals_per_day)
-    if len(rows.dates) != 1:
-        raise ValidationError(f"sample file must hold exactly one date, got {len(rows.dates)}")
-    missing = set(ds.movements) - set(rows.movements)
-    if missing:
-        raise ValidationError(f"sample is missing movements: {sorted(missing)}")
-    position = {label: m for m, label in enumerate(ds.movements)}
-    row_m = np.array([position.get(label, -1) for label in rows.movements])[rows.movement]
-    keep = row_m >= 0
-    grid = np.zeros((1, ds.n_movements, ds.intervals_per_day))  # predicted window unused
-    seen = np.zeros(grid.shape[1:], dtype=bool)
-    grid[0, row_m[keep], rows.interval[keep]] = rows.flow[keep]
-    seen[row_m[keep], rows.interval[keep]] = True
-    gaps = np.argwhere(~seen[:, : spec.cutoff_index])  # movement-major order
-    if len(gaps):
-        m, t = gaps[0]
-        raise ValidationError(f"sample is missing ({ds.movements[m]}, interval {t + 1})")
-    z, _ = _split_grid(grid, spec)
-    return rows.dates[0], z[0]
-
-
 def cmd_predict(args) -> int:
     ds = _load_input(args)
     spec = _split_spec_from_args(args, ds)
@@ -261,7 +237,7 @@ def cmd_predict(args) -> int:
         y_train = np.delete(y_all, idx, axis=0)
         label, z_sample, actual = args.date, z_all[idx], y_all[idx]
     else:
-        label, z_sample = _read_sample(Path(args.sample), ds, spec)
+        label, z_sample = load_sample(args.sample, ds, spec)
         z_train, y_train, actual = z_all, y_all, None
     model = fit_pls_kernel(z_train, y_train, args.n_components, split=spec)
     y_hat = predict(model, z_sample)
@@ -385,12 +361,9 @@ def cmd_control(args) -> int:
     ds = _load_input(args)
     config = _load_config(args.config)
     fit_cfg = FitConfig(overflow_penalty=args.overflow_penalty)
-    clamp = _config_block(config, "controller", ["clamp_predictions"]).get(
-        "clamp_predictions", True)
-    if not isinstance(clamp, bool):
-        raise ValidationError("config block 'controller' holds a value of the wrong type: "
-                              "clamp_predictions must be true or false")
-    ctrl_cfg = ControllerConfig(window_halfwidth=args.window, clamp_predictions=clamp)
+    with _typed_values("controller"):
+        ctrl_cfg = ControllerConfig(window_halfwidth=args.window,
+                                    **_config_block(config, "controller", ["clamp_predictions"]))
     ic = _intersection_from_config(ds, config)
 
     if args.plan:

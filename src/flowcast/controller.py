@@ -43,6 +43,8 @@ class ControllerConfig:
     def __post_init__(self) -> None:
         if self.window_halfwidth < 0:
             raise ValueError("window_halfwidth must be >= 0")
+        if not isinstance(self.clamp_predictions, bool):
+            raise TypeError("clamp_predictions must be true or false")
 
 
 def segment_window(tau: int, halfwidth: int, n_intervals: int) -> list[int]:

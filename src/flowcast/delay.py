@@ -92,6 +92,10 @@ class IntersectionConfig:
             raise ValueError("poisson_inflation must be >= 1")
         if self.analysis_period_hours <= 0:
             raise ValueError("analysis_period_hours must be positive")
+        for name in ("saturation_flow", "cycle_seconds", "lost_time_seconds",
+                     "min_green_fraction", "poisson_inflation", "analysis_period_hours"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if float(ming.sum()) > self.green_budget + 1e-12:
             raise ValueError(
                 "minimum greens plus lost time exceed the cycle "

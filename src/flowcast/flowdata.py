@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 from datetime import date as _date
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -236,24 +235,14 @@ class SplitSpec:
 # ``_BLOCK_LINES << 6`` at a time (more when a line is longer), and each
 # block's line ends, commas and plain lines are found with numpy.  Python
 # objects exist only for a block's distinct dates, movements and interval
-# indices, its flows (one float each) and the few lines that are not plain,
-# so the parser's memory follows the row count (integer codes and a float per
-# row), not the file's text.
+# indices, its flows (one float each) and the few lines that are not plain.
+# Each block's valid rows go into the cell grid, so the parser's memory
+# follows the grid (a float and a flag per cell) plus one block's rows, not
+# the file's row count or text.
 _BLOCK_LINES = 1 << 14
 # The longest line taken as plain, so a block's fixed-width field arrays stay
 # below ``_BLOCK_LINES * _PLAIN_BYTES`` bytes each; a longer line is decoded.
 _PLAIN_BYTES = 256
-
-
-class _Rows(NamedTuple):
-    """The validated data rows of a long-format CSV, one array entry per row."""
-
-    dates: list[str]       # distinct date labels
-    movements: list[str]   # distinct movement labels
-    day: np.ndarray        # index into ``dates``
-    movement: np.ndarray   # index into ``movements``
-    interval: np.ndarray   # 0-based interval index
-    flow: np.ndarray
 
 
 def _parsed(parse, text):
@@ -279,6 +268,7 @@ class _Column:
         self.values: list[str] = []
         self.parsed: list = []          # parse(value), or its ValueError
         self.failed: list[bool] = []
+        self.position: dict[int, int] = {}   # index -> grid position, valid rows' values
         self._code: dict[str, int] = {}      # stripped value -> index
         self._raw_code: dict[str, int] = {}  # raw value -> index
 
@@ -306,6 +296,14 @@ class _Column:
         distinct, inverse = np.unique(keys[heads], return_inverse=True)
         codes = self.codes([v.decode("ascii") for v in distinct.view(cells.dtype).tolist()])
         return np.repeat(codes[inverse], np.diff(heads, append=len(cells)))
+
+    def positions(self, codes: np.ndarray) -> np.ndarray:
+        """The grid position of each of the valid rows' ``codes``; a value
+        takes the next position when a valid row first holds it."""
+        for code in np.unique(codes).tolist():
+            self.position.setdefault(code, len(self.position))
+        position = [self.position.get(c, -1) for c in range(len(self.values))]
+        return np.array(position, np.intp)[codes]
 
 
 def _csv_fields(line: str) -> list[str] | csv.Error:
@@ -412,8 +410,12 @@ def _decoded(raw: bytes, starts, stops, lines) -> tuple[dict[int, str], tuple | 
     return texts, None
 
 
-def _parse_rows(path: Path, intervals_per_day: int) -> _Rows:
-    """Parse and validate the long-format CSV, a block of lines at a time.
+def _parse_rows(path: Path, intervals_per_day: int
+                ) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """Parse and validate the long-format CSV into its cell grid, a block
+    of lines at a time: returns the distinct dates and movements of the
+    rows, and the (date, movement, interval) grids ``flow`` (0.0 where no
+    row is) and ``seen``.
 
     Plain lines (see ``_tokenize``) are split and their fields cut out as
     bytes; each other line is decoded, stripped and split by the csv
@@ -421,14 +423,13 @@ def _parse_rows(path: Path, intervals_per_day: int) -> _Rows:
     Within a block each check runs over every row at once (dates, movements
     and interval indices once per distinct value), and the error raised is
     the one a row-by-row reader meets first: the earliest offending line,
-    and on it the first failing check in column order.  Reading stops at
-    the block holding that line.
+    and on it the first failing check in column order.  The rows before
+    that line fill the grid, where a cell set twice is a duplicate.
     """
     dates, movements = _Column(day_of_week_tag), _Column(_movement_label)
     intervals = _Column(int)
-    blocks = []          # (line numbers, day, movement, interval, flow) per block
+    grid, seen = np.zeros((0, 0, intervals_per_day)), np.zeros((0, 0, intervals_per_day), bool)
     header_seen = False
-    error = None         # (line number, message) of the earliest offending line
     first_lineno = 1
     with open(path, "rb") as fh:
         for raw, ends in _line_blocks(fh):
@@ -512,34 +513,37 @@ def _parse_rows(path: Path, intervals_per_day: int) -> _Rows:
                 (~np.isfinite(flow), lambda i: "non-finite flow_vph"),
                 (flow < 0, lambda i: f"negative flow_vph {flow_text(i)}"),
             )
-            linenos = rows + first_lineno
             bad = np.logical_or.reduce([mask for mask, _ in checks])
             if bad.any():
                 n = int(np.argmax(bad))
                 describe = next(describe for mask, describe in checks if mask[n])
-                error = (linenos[n], describe(n))
-            elif broken:
-                error = (broken[0] + first_lineno, broken[1])
-            blocks.append((linenos[:n], day[:n], movement[:n], interval[:n], flow[:n]))
+                broken = (rows[n], describe(n))
+
+            # The n rows before the block's offending line are valid: a row
+            # repeats a cell set by an earlier block or an earlier row here.
+            d, m = dates.positions(day[:n]), movements.positions(movement[:n])
+            shape = (len(dates.position), len(movements.position), intervals_per_day)
+            grid, seen = (np.pad(a, [(0, k - j) for k, j in zip(shape, a.shape)])
+                          for a in (grid, seen))
+            cell = np.ravel_multi_index((d, m, interval[:n]), shape)
+            order = np.argsort(cell, kind="stable")
+            again = seen.reshape(-1)[cell]
+            again[order[1:]] |= cell[order[1:]] == cell[order[:-1]]
+            if again.any():
+                i = int(np.argmax(again))
+                raise ValidationError(
+                    f"line {rows[i] + first_lineno}: duplicate entry for "
+                    f"({dates.values[day[i]]}, {movements.values[movement[i]]}, "
+                    f"{interval[i] + 1})")
+            grid.reshape(-1)[cell] = flow[:n]
+            seen.reshape(-1)[cell] = True
+            if broken:
+                raise ValidationError(f"line {broken[0] + first_lineno}: {broken[1]}")
             first_lineno += len(ends)
-            if error:
-                break
     if not header_seen:
         raise ValidationError(f"{path}: empty file (missing header)")
-
-    linenos, day, movement, interval, flow = (np.concatenate(c) for c in zip(*blocks))
-    # Every row read is valid: find the first repeated cell among them.
-    key = (day * len(movements.values) + movement) * intervals_per_day + interval
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-    if repeats.size:
-        i = int(repeats.min())
-        raise ValidationError(
-            f"line {linenos[i]}: duplicate entry for ({dates.values[day[i]]}, "
-            f"{movements.values[movement[i]]}, {interval[i] + 1})")
-    if error:
-        raise ValidationError(f"line {error[0]}: {error[1]}")
-    return _Rows(dates.values, movements.values, day, movement, interval, flow)
+    return ([dates.values[c] for c in dates.position],
+            [movements.values[c] for c in movements.position], grid, seen)
 
 
 def load_csv(
@@ -561,23 +565,19 @@ def load_csv(
         raise ValidationError(f"interval_minutes={interval_minutes} does not divide a day")
     intervals_per_day = MINUTES_PER_DAY // interval_minutes
 
-    rows = _parse_rows(path, intervals_per_day)
-    observed = set(rows.movements)
-
+    dates, labels, flow, seen = _parse_rows(path, intervals_per_day)
     if movement_order is not None:
         movements = tuple(movement_order)
         _check_movement_labels(movements)
-        if set(movements) != observed:
+        if set(movements) != set(labels):
             raise ValidationError(
                 "movement_order does not match the movements present in the file"
             )
     else:
-        movements = tuple(sorted(observed))
+        movements = tuple(sorted(labels))
 
-    # Cells are distinct, so a day is complete when it has every cell's row.
-    expected = intervals_per_day * len(movements)
-    complete = np.bincount(rows.day, minlength=len(rows.dates)) == expected
-    dropped = sorted(d for d, ok in zip(rows.dates, complete) if not ok)
+    complete = seen.all(axis=(1, 2))
+    dropped = sorted(d for d, ok in zip(dates, complete) if not ok)
     if dropped:
         warnings.warn(
             f"dropping {len(dropped)} incomplete day(s): {', '.join(dropped)}",
@@ -586,18 +586,31 @@ def load_csv(
     if not complete.any():
         raise ValidationError(f"{path}: no complete days")
 
-    dates = sorted(d for d, ok in zip(rows.dates, complete) if ok)
-    day_pos = {d: i for i, d in enumerate(dates)}
-    movement_pos = {mv: m for m, mv in enumerate(movements)}
-    row_day = np.array([day_pos.get(d, -1) for d in rows.dates])[rows.day]
-    row_col = (np.array([movement_pos[mv] for mv in rows.movements])[rows.movement]
-               * intervals_per_day + rows.interval)
-    keep = row_day >= 0
-    flows = np.empty((len(dates), expected), dtype=float)
-    flows[row_day[keep], row_col[keep]] = rows.flow[keep]
-    days = tuple(DayRecord(d, day_of_week_tag(d)) for d in dates)
-    return FlowDataset(days=days, flows=flows, interval_minutes=interval_minutes,
-                       movements=movements)
+    keep = sorted(np.flatnonzero(complete).tolist(), key=dates.__getitem__)
+    flows = flow[np.ix_(keep, [labels.index(mv) for mv in movements])]
+    days = tuple(DayRecord(dates[d], day_of_week_tag(dates[d])) for d in keep)
+    return FlowDataset(days=days, flows=flows.reshape(len(keep), -1),
+                       interval_minutes=interval_minutes, movements=movements)
+
+
+def load_sample(path: str | Path, ds: FlowDataset, spec: SplitSpec) -> tuple[str, np.ndarray]:
+    """Read the one day of a long-format CSV: its date and its predictor
+    vector, split as ``split_at`` splits ``ds``.  Every cell of the
+    predictor window must be present; other cells may be missing."""
+    spec.validate_for(ds.intervals_per_day)
+    dates, labels, flow, seen = _parse_rows(Path(path), ds.intervals_per_day)
+    if len(dates) != 1:
+        raise ValidationError(f"sample file must hold exactly one date, got {len(dates)}")
+    missing = set(ds.movements) - set(labels)
+    if missing:
+        raise ValidationError(f"sample is missing movements: {sorted(missing)}")
+    columns = [labels.index(mv) for mv in ds.movements]
+    gaps = np.argwhere(~seen[0, columns, : spec.cutoff_index])  # movement-major order
+    if len(gaps):
+        m, t = gaps[0]
+        raise ValidationError(f"sample is missing ({ds.movements[m]}, interval {t + 1})")
+    z, _ = _split_grid(flow[:, columns], spec)
+    return dates[0], z[0]
 
 
 def save_dataset(
@@ -640,14 +653,16 @@ def load_dataset(csv_path: str | Path, meta_path: str | Path) -> FlowDataset:
     own weekday.
     """
     meta = artifact.read(meta_path, None)
-    ds = load_csv(csv_path, int(meta["interval_minutes"]),
-                  movement_order=meta["movements"])
-    sidecar_dates = [d["date"] for d in meta["days"]]
-    if sidecar_dates != [r.date for r in ds.days]:
+    ds = load_csv(csv_path, artifact.typed(meta, "interval_minutes", int, "an integer"),
+                  movement_order=artifact.typed(meta, "movements", list, "a list"))
+    days = [(artifact.typed(entry, "date", str, "a string"),
+             artifact.typed(entry, "day_of_week", str, "a string"))
+            for entry in artifact.typed(meta, "days", list, "a list")]
+    if [date for date, _ in days] != [r.date for r in ds.days]:
         raise ValidationError("sidecar day list does not match the CSV contents")
-    for entry, rec in zip(meta["days"], ds.days):
-        if entry["day_of_week"] != rec.day_of_week:
-            raise ValidationError(f"sidecar tags {rec.date} {entry['day_of_week']!r}, "
+    for (_, tag), rec in zip(days, ds.days):
+        if tag != rec.day_of_week:
+            raise ValidationError(f"sidecar tags {rec.date} {tag!r}, "
                                   f"but it is a {rec.day_of_week}")
     return ds
 
@@ -711,12 +726,3 @@ def split_at(ds: FlowDataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     spec.validate_for(ds.intervals_per_day)
     grid = ds.flows.reshape(ds.n_days, ds.n_movements, ds.intervals_per_day)
     return _split_grid(grid, spec)
-
-
-def split_day_vector(x: np.ndarray, spec: SplitSpec, intervals_per_day: int,
-                     n_movements: int) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the same split to one day vector, returning (z, y) sample vectors."""
-    spec.validate_for(intervals_per_day)
-    grid = np.asarray(x, dtype=float).reshape(1, n_movements, intervals_per_day)
-    z, y = _split_grid(grid, spec)
-    return z[0], y[0]

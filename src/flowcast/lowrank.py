@@ -65,6 +65,8 @@ class PcaModel:
             raise ValueError("singular values must be non-increasing")
         if self.component_scale <= 0:
             raise ValueError("component_scale must be positive")
+        if not np.isfinite(self.component_scale):
+            raise ValueError("component_scale must be finite")
 
     @property
     def n_components(self) -> int:
@@ -168,12 +170,14 @@ def pca_to_json(model: PcaModel, path: str | Path | None = None,
 def pca_from_json(source: str | Path | dict) -> PcaModel:
     """Load a model serialized by :func:`pca_to_json`."""
     doc = artifact.read(source, "pca_model")
-    scale = float(doc["component_scale"])
+    scale = artifact.number(doc, "component_scale")
+    if not 0 < scale < np.inf:
+        raise ValueError("document field 'component_scale' must be positive and finite")
     return PcaModel(
-        mean=np.asarray(doc["mean"], dtype=float),
-        components=np.asarray(doc["components"], dtype=float) / scale,
-        weights=np.asarray(doc["weights"], dtype=float) * scale,
-        singular_values=np.asarray(doc["singular_values"], dtype=float),
-        singular_value_sum=float(doc["singular_value_sum"]),
+        mean=artifact.array(doc, "mean", 1),
+        components=artifact.array(doc, "components", 2) / scale,
+        weights=artifact.array(doc, "weights", 2) * scale,
+        singular_values=artifact.array(doc, "singular_values", 1),
+        singular_value_sum=artifact.number(doc, "singular_value_sum"),
         component_scale=scale,
     )

@@ -42,6 +42,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if not (self.overflow_penalty >= 1.0):
             raise ValueError("overflow_penalty must be >= 1")
+        if not np.isfinite(self.overflow_penalty):
+            raise ValueError("overflow_penalty must be finite")
 
 
 @dataclass(frozen=True)

@@ -340,7 +340,7 @@ def rowwise_load_csv(path, interval_minutes, movement_order=None):
 
 
 def rowwise_read_sample(path, ds, spec):
-    """``cli._read_sample`` on the row-by-row parser."""
+    """``flowdata.load_sample`` on the row-by-row parser."""
     cells, observed = rowwise_parse_rows(path, ds.intervals_per_day)
     if len(cells) != 1:
         raise ValidationError(f"sample file must hold exactly one date, got {len(cells)}")

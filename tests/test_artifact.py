@@ -291,6 +291,19 @@ def test_reader_rejects_wrong_kind_version_and_truncation(kind, tmp_path):
     assert artifact.read(doc, kind) == doc
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("mean", None, "'mean' must be a 1-D array"),
+    ("components", [[2.0], [float("nan")]], "'components' must be a 2-D array"),
+    ("component_scale", None, "'component_scale' must be a number"),
+    ("component_scale", 0.0, "'component_scale' must be positive"),
+    ("component_scale", float("inf"), "'component_scale' must be positive and finite"),
+])
+def test_pca_reader_names_a_bad_field(field, value, named):
+    doc = {**json.loads(GOLDEN["pca_model"]), field: value}
+    with pytest.raises(ValueError, match=named):
+        pca_from_json(doc)
+
+
 def test_sidecar_has_no_kind():
     doc = json.loads(GOLDEN["dataset_sidecar"])
     assert artifact.read(doc, None) == doc

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -315,7 +316,8 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
             ("synth", {"synth": {"n_days": "x"}}, "'synth'"),  # wrong type
             ("control", {"intersection": {"cycle_seconds": "x"}}, "'intersection'"),
             ("control", {"intersection": {"min_green_fraction": 0.0}}, "min_green"),
-            ("control", {"controller": {"clamp_predictions": "no"}}, "clamp_predictions")):
+            ("control", {"controller": {"clamp_predictions": "no"}}, "clamp_predictions"),
+            ("control", {"intersection": {"cycle_seconds": float("nan")}}, "cycle_seconds")):
         cfg = tmp_path / f"{command}_bad.json"
         cfg.write_text(json.dumps(block))
         rc = main([command, "--input", str(dataset_dir / "flows.csv"),
@@ -323,6 +325,12 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and err.count("\n") == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        rc = main(["segment", "--input", str(dataset_dir / "flows.csv"),
+                   "--out-dir", str(tmp_path / "f"), "--overflow-penalty", "inf"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: overflow_penalty must be finite\n"
     plan = tmp_path / "plan.json"  # right kind and version, no fields
     plan.write_text(json.dumps({"format_version": 1, "kind": "segmentation_plan"}))
     rc = main(["control", "--input", str(dataset_dir / "flows.csv"), "--plan", str(plan),
@@ -420,8 +428,9 @@ def test_readme_sequence_tree_is_byte_identical(tmp_path, monkeypatch):
 
 
 def test_sidecar_label_csv_cannot_read_back_exits_1(dataset_dir, tmp_path, capsys):
-    """So do a sidecar weekday tag other than the date's and a sidecar
-    without its movements: each is one ``error:`` line naming the fault."""
+    """So do a sidecar weekday tag other than the date's, a sidecar
+    without its movements, and a sidecar field of the wrong type: each is
+    one ``error:`` line naming the fault."""
     data = tmp_path / "data"
     data.mkdir()
     (data / "flows.csv").write_bytes((dataset_dir / "flows.csv").read_bytes())
@@ -440,7 +449,19 @@ def test_sidecar_label_csv_cannot_read_back_exits_1(dataset_dir, tmp_path, capsy
         del meta["movements"]
         return "'movements'"
 
-    for edit in (relabel, retag, drop_movements):
+    def setter(name, value, named):
+        def edit(meta):
+            meta[name] = value
+            return named
+        edit.__name__ = f"{name}={value!r}"
+        return edit
+
+    for edit in (relabel, retag, drop_movements,
+                 setter("days", ["2024-01-01"], "'date'"),
+                 setter("days", None, "'days'"),
+                 setter("interval_minutes", None, "'interval_minutes'"),
+                 setter("interval_minutes", "15", "'interval_minutes'"),
+                 setter("movements", "NB T", "'movements'")):
         meta = json.loads(original)
         named = edit(meta)
         (data / "flows.meta.json").write_text(json.dumps(meta))

@@ -51,6 +51,11 @@ def test_segment_window_examples():
     assert segment_window(95, 3, 96) == [92, 93, 94, 95]
 
 
+def test_controller_config_rejects_a_clamp_that_is_not_a_bool():
+    with pytest.raises(TypeError, match="clamp_predictions must be true or false"):
+        ControllerConfig(clamp_predictions="no")
+
+
 def test_window_overlap_validation():
     plan = SegmentationPlan(n_periods=3, n_intervals=24, switch_times=(8, 12),
                             params=np.zeros((3, 2)), total_cost=0.0)

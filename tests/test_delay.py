@@ -92,6 +92,10 @@ def test_intersection_config_validation():
         two_phase(min_green_fraction=0.0)
     with pytest.raises(ValueError, match="min_green_fraction must be positive"):
         two_phase(min_green_fraction=(0.1, 0.0))
+    for name, value in (("cycle_seconds", float("nan")), ("poisson_inflation", float("inf")),
+                        ("saturation_flow", (1800.0, float("nan")))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            two_phase(**{name: value})
     ic = two_phase(saturation_flow=(1800.0, 1600.0))
     assert ic.saturation_flow[1] == 1600.0
     assert ic.green_budget == pytest.approx(1.0 - 16.0 / 120.0, rel=1e-15)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -24,13 +25,12 @@ from flowcast import (
     vector_to_grid,
 )
 from flowcast import flowdata
-from flowcast.cli import _read_sample
+from flowcast.flowdata import load_sample as _read_sample
 from flowcast.flowdata import (
     CSV_HEADER,
     DayRecord,
     day_of_week_tag,
     save_dataset,
-    split_day_vector,
 )
 
 from _oracles import rowwise_load_csv, rowwise_read_sample, rowwise_save_dataset
@@ -181,6 +181,28 @@ def test_save_load_round_trip_exact(tmp_path, noisy):
     assert meta["interval_minutes"] == ds.interval_minutes
 
 
+def test_ingest_memory_follows_the_flow_matrix_not_the_row_count(tmp_path, noisy):
+    """Two saved files that differ only in their day count: the larger one's
+    ``load_dataset`` peak may grow by the cells it adds (a float and a flag
+    in the parser's grid, and the result), not by state kept per CSV row."""
+    ds, _ = noisy
+    peaks = []
+    for n_days in (40, ds.n_days):
+        part = FlowDataset(days=ds.days[:n_days], flows=ds.flows[:n_days],
+                           interval_minutes=ds.interval_minutes, movements=ds.movements)
+        csv_path, meta_path = tmp_path / f"{n_days}.csv", tmp_path / f"{n_days}.meta.json"
+        save_dataset(part, csv_path, meta_path)
+        load_dataset(csv_path, meta_path)
+        tracemalloc.start()
+        try:
+            load_dataset(csv_path, meta_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    added_rows = (ds.n_days - 40) * ds.flows.shape[1]
+    assert (peaks[1] - peaks[0]) / added_rows < 40
+
+
 def test_sidecar_preserves_movement_order(tmp_path):
     # sidecar order wins over the lexicographic fallback
     rows = tiny_rows(movements=("B", "A"))
@@ -242,9 +264,6 @@ def test_split_at_partitions_day(noisy):
     day = vector_to_grid(ds.flows[3], t, m)
     assert np.array_equal(z[3].reshape(m, 40).T, day[:40])
     assert np.array_equal(y[3].reshape(m, t - 40).T, day[40:])
-    # same split applied to a single vector
-    z3, y3 = split_day_vector(ds.flows[3], spec, t, m)
-    assert np.array_equal(z3, z[3]) and np.array_equal(y3, y[3])
 
 
 def test_split_at_gap_between_windows(noisy):

@@ -49,6 +49,8 @@ def test_fit_value_empty_window_and_validation():
         fit_value(x, 1, 2, np.zeros(3), CFG2)
     with pytest.raises(ValueError):
         FitConfig(overflow_penalty=0.5)
+    with pytest.raises(ValueError, match="overflow_penalty must be finite"):
+        FitConfig(overflow_penalty=float("inf"))
 
 
 def test_symmetric_penalty_gives_window_mean(rng):
