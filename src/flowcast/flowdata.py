@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date as _date
 from pathlib import Path
@@ -236,9 +237,10 @@ class SplitSpec:
 # block's line ends, commas and plain lines are found with numpy.  Python
 # objects exist only for a block's distinct dates, movements and interval
 # indices, its flows (one float each) and the few lines that are not plain.
-# Each block's valid rows go into the cell grid, so the parser's memory
-# follows the grid (a float and a flag per cell) plus one block's rows, not
-# the file's row count or text.
+# Each block's valid rows go into the cell grid, one row of intervals per
+# (date, movement) pair they hold, so the parser's memory follows the grid
+# (a float and a flag per cell, at most one grid row per CSV row) plus one
+# block's rows, not the file's text.
 _BLOCK_LINES = 1 << 14
 # The longest line taken as plain, so a block's fixed-width field arrays stay
 # below ``_BLOCK_LINES * _PLAIN_BYTES`` bytes each; a longer line is decoded.
@@ -268,7 +270,6 @@ class _Column:
         self.values: list[str] = []
         self.parsed: list = []          # parse(value), or its ValueError
         self.failed: list[bool] = []
-        self.position: dict[int, int] = {}   # index -> grid position, valid rows' values
         self._code: dict[str, int] = {}      # stripped value -> index
         self._raw_code: dict[str, int] = {}  # raw value -> index
 
@@ -296,14 +297,6 @@ class _Column:
         distinct, inverse = np.unique(keys[heads], return_inverse=True)
         codes = self.codes([v.decode("ascii") for v in distinct.view(cells.dtype).tolist()])
         return np.repeat(codes[inverse], np.diff(heads, append=len(cells)))
-
-    def positions(self, codes: np.ndarray) -> np.ndarray:
-        """The grid position of each of the valid rows' ``codes``; a value
-        takes the next position when a valid row first holds it."""
-        for code in np.unique(codes).tolist():
-            self.position.setdefault(code, len(self.position))
-        position = [self.position.get(c, -1) for c in range(len(self.values))]
-        return np.array(position, np.intp)[codes]
 
 
 def _csv_fields(line: str) -> list[str] | csv.Error:
@@ -411,11 +404,11 @@ def _decoded(raw: bytes, starts, stops, lines) -> tuple[dict[int, str], tuple | 
 
 
 def _parse_rows(path: Path, intervals_per_day: int
-                ) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+                ) -> tuple[dict[tuple[str, str], int], np.ndarray, np.ndarray]:
     """Parse and validate the long-format CSV into its cell grid, a block
-    of lines at a time: returns the distinct dates and movements of the
-    rows, and the (date, movement, interval) grids ``flow`` (0.0 where no
-    row is) and ``seen``.
+    of lines at a time: returns the grid row of each (date, movement) pair
+    the rows hold, and the (grid row, interval) grids ``flow`` (0.0 where
+    no row is) and ``seen``.
 
     Plain lines (see ``_tokenize``) are split and their fields cut out as
     bytes; each other line is decoded, stripped and split by the csv
@@ -428,7 +421,8 @@ def _parse_rows(path: Path, intervals_per_day: int
     """
     dates, movements = _Column(day_of_week_tag), _Column(_movement_label)
     intervals = _Column(int)
-    grid, seen = np.zeros((0, 0, intervals_per_day)), np.zeros((0, 0, intervals_per_day), bool)
+    pairs: dict[tuple[str, str], int] = {}
+    grid, seen = np.zeros((0, intervals_per_day)), np.zeros((0, intervals_per_day), bool)
     header_seen = False
     first_lineno = 1
     with open(path, "rb") as fh:
@@ -519,13 +513,19 @@ def _parse_rows(path: Path, intervals_per_day: int
                 describe = next(describe for mask, describe in checks if mask[n])
                 broken = (rows[n], describe(n))
 
-            # The n rows before the block's offending line are valid: a row
-            # repeats a cell set by an earlier block or an earlier row here.
-            d, m = dates.positions(day[:n]), movements.positions(movement[:n])
-            shape = (len(dates.position), len(movements.position), intervals_per_day)
-            grid, seen = (np.pad(a, [(0, k - j) for k, j in zip(shape, a.shape)])
-                          for a in (grid, seen))
-            cell = np.ravel_multi_index((d, m, interval[:n]), shape)
+            # The n rows before the block's offending line are valid.  Each
+            # (date, movement) pair takes the next grid row when a valid row
+            # first holds it, and the grid doubles when full.  A row repeats a
+            # cell set by an earlier block or an earlier row here.
+            width = len(movements.values)
+            distinct, inverse = np.unique(day[:n] * width + movement[:n], return_inverse=True)
+            held = [(dates.values[k // width], movements.values[k % width])
+                    for k in distinct.tolist()]
+            row = np.array([pairs.setdefault(p, len(pairs)) for p in held], np.intp)[inverse]
+            if len(pairs) > len(grid):
+                grow = ((0, max(len(grid), len(pairs) - len(grid))), (0, 0))
+                grid, seen = np.pad(grid, grow), np.pad(seen, grow)
+            cell = row * intervals_per_day + interval[:n]
             order = np.argsort(cell, kind="stable")
             again = seen.reshape(-1)[cell]
             again[order[1:]] |= cell[order[1:]] == cell[order[:-1]]
@@ -542,8 +542,7 @@ def _parse_rows(path: Path, intervals_per_day: int
             first_lineno += len(ends)
     if not header_seen:
         raise ValidationError(f"{path}: empty file (missing header)")
-    return ([dates.values[c] for c in dates.position],
-            [movements.values[c] for c in movements.position], grid, seen)
+    return pairs, grid[:len(pairs)], seen[:len(pairs)]
 
 
 def load_csv(
@@ -565,31 +564,34 @@ def load_csv(
         raise ValidationError(f"interval_minutes={interval_minutes} does not divide a day")
     intervals_per_day = MINUTES_PER_DAY // interval_minutes
 
-    dates, labels, flow, seen = _parse_rows(path, intervals_per_day)
+    pairs, flow, seen = _parse_rows(path, intervals_per_day)
+    labels = {mv for _, mv in pairs}
     if movement_order is not None:
         movements = tuple(movement_order)
         _check_movement_labels(movements)
-        if set(movements) != set(labels):
+        if set(movements) != labels:
             raise ValidationError(
                 "movement_order does not match the movements present in the file"
             )
     else:
         movements = tuple(sorted(labels))
 
-    complete = seen.all(axis=(1, 2))
-    dropped = sorted(d for d, ok in zip(dates, complete) if not ok)
+    # A day is complete when each movement's grid row is seen throughout.
+    full = seen.all(axis=1).tolist()
+    count = Counter(d for (d, _), row in pairs.items() if full[row])
+    keep = sorted(d for d, k in count.items() if k == len(labels))
+    dropped = sorted({d for d, _ in pairs}.difference(keep))
     if dropped:
         warnings.warn(
             f"dropping {len(dropped)} incomplete day(s): {', '.join(dropped)}",
             stacklevel=2,
         )
-    if not complete.any():
+    if not keep:
         raise ValidationError(f"{path}: no complete days")
 
-    keep = sorted(np.flatnonzero(complete).tolist(), key=dates.__getitem__)
-    flows = flow[np.ix_(keep, [labels.index(mv) for mv in movements])]
-    days = tuple(DayRecord(dates[d], day_of_week_tag(dates[d])) for d in keep)
-    return FlowDataset(days=days, flows=flows.reshape(len(keep), -1),
+    rows = [pairs[d, mv] for d in keep for mv in movements]
+    days = tuple(DayRecord(d, day_of_week_tag(d)) for d in keep)
+    return FlowDataset(days=days, flows=flow[rows].reshape(len(keep), -1),
                        interval_minutes=interval_minutes, movements=movements)
 
 
@@ -598,19 +600,21 @@ def load_sample(path: str | Path, ds: FlowDataset, spec: SplitSpec) -> tuple[str
     vector, split as ``split_at`` splits ``ds``.  Every cell of the
     predictor window must be present; other cells may be missing."""
     spec.validate_for(ds.intervals_per_day)
-    dates, labels, flow, seen = _parse_rows(Path(path), ds.intervals_per_day)
+    pairs, flow, seen = _parse_rows(Path(path), ds.intervals_per_day)
+    dates = {d for d, _ in pairs}
     if len(dates) != 1:
         raise ValidationError(f"sample file must hold exactly one date, got {len(dates)}")
-    missing = set(ds.movements) - set(labels)
+    missing = set(ds.movements) - {mv for _, mv in pairs}
     if missing:
         raise ValidationError(f"sample is missing movements: {sorted(missing)}")
-    columns = [labels.index(mv) for mv in ds.movements]
-    gaps = np.argwhere(~seen[0, columns, : spec.cutoff_index])  # movement-major order
+    (date_label,) = dates
+    rows = [pairs[date_label, mv] for mv in ds.movements]
+    gaps = np.argwhere(~seen[rows, : spec.cutoff_index])  # movement-major order
     if len(gaps):
         m, t = gaps[0]
         raise ValidationError(f"sample is missing ({ds.movements[m]}, interval {t + 1})")
-    z, _ = _split_grid(flow[:, columns], spec)
-    return dates[0], z[0]
+    z, _ = _split_grid(flow[rows][None], spec)
+    return date_label, z[0]
 
 
 def save_dataset(

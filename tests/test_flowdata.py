@@ -1,4 +1,5 @@
 import csv
+import datetime as dt
 import io
 import json
 import re
@@ -201,6 +202,27 @@ def test_ingest_memory_follows_the_flow_matrix_not_the_row_count(tmp_path, noisy
             tracemalloc.stop()
     added_rows = (ds.n_days - 40) * ds.flows.shape[1]
     assert (peaks[1] - peaks[0]) / added_rows < 40
+
+
+def test_ingest_memory_of_a_sparse_file_follows_its_row_count(tmp_path):
+    """One row per date, each under its own movement: the parser's grid may
+    grow by one row of intervals per CSV row read (a float and a flag per
+    interval, doubled capacity), not by every date times every movement."""
+    peaks = []
+    for n_rows in (100, 400):
+        rows = [((dt.date(2024, 1, 1) + dt.timedelta(days=i)).isoformat(), f"M{i}", 1, 1.0)
+                for i in range(n_rows)]
+        csv_path = tmp_path / f"{n_rows}.csv"
+        write_rows(csv_path, rows)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(), pytest.raises(ValidationError, match="no complete"):
+                warnings.simplefilter("ignore")
+                load_csv(csv_path, 15)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 300 < 4 * 96 * 9
 
 
 def test_sidecar_preserves_movement_order(tmp_path):
