@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import math
 import warnings
 from dataclasses import replace
 
@@ -84,6 +85,20 @@ def golden_section(fn, lo, hi, iters=90):
             fd = fn(d)
     x = (a + b) / 2.0
     return x, fn(x)
+
+
+def hcm_delay(flow, saturation, green, ic):
+    """HCM 2000 control delay [s/veh] of one movement, transcribed from
+    ``flowcast.delay``'s module docstring (k = 0.5, I = 1); d1 is 0 at full
+    green."""
+    c = saturation * green
+    x = flow / c
+    t = ic.analysis_period_hours
+    d1 = 0.0
+    if green < 1.0:
+        d1 = 0.5 * ic.cycle_seconds * (1 - green) ** 2 / (1 - min(1, x) * green)
+    d2 = 900 * t * ((x - 1) + math.sqrt((x - 1) ** 2 + 8 * 0.5 * 1 * x / (c * t)))
+    return d1 + d2
 
 
 def _phase_objective(q, sat, members, g, ic):

@@ -25,7 +25,7 @@ from flowcast import delay
 from flowcast.delay import SCENARIOS, DelayTrace
 from flowcast.synth import movement_labels
 
-from _oracles import golden_section, scalar_green_splits
+from _oracles import golden_section, hcm_delay, scalar_green_splits
 
 CFG = FitConfig(overflow_penalty=2.0)
 
@@ -60,6 +60,20 @@ def test_movement_delay_limits():
         movement_delay(100.0, 1800.0, 0.0, ic)
     with pytest.raises(ValueError):
         movement_delay(100.0, 1800.0, 1.2, ic)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(0.0, 4000.0)), st.floats(900.0, 2400.0),
+       st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+@example(2000.0, 1800.0, 1.0)  # X > 1 at full green: d1 is 0, not 0 / 0
+@example(1800.0, 1800.0, 1.0)
+@example(1500.0, 1800.0, 0.5)
+def test_delay_kernel_matches_the_hcm_formula(flow, saturation, green):
+    ic = two_phase()
+    # For light demand d2's two terms of size max(1, X) cancel, so both forms
+    # carry a rounding of about 900 T eps [s/veh] whatever d is.
+    assert movement_delay(flow, saturation, green, ic) == pytest.approx(
+        hcm_delay(flow, saturation, green, ic), rel=1e-12, abs=1e-12)
 
 
 def test_movement_delay_monotone_grids():
@@ -289,6 +303,7 @@ def assert_matches_scalar(mu, ic):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(DEMAND, min_size=2, max_size=2))
 @example([0.0, 2.2250738585e-313])  # subnormal demand: the start must keep the budget
+@example([1.0, 8.0])  # optimum at a minimum green: exact only with the bracket-end check
 def test_batched_splits_match_scalar_two_phase(mu):
     assert_matches_scalar(np.array(mu), two_phase())
 
@@ -296,6 +311,7 @@ def test_batched_splits_match_scalar_two_phase(mu):
 @settings(max_examples=15, deadline=None)
 @given(st.lists(DEMAND, min_size=12, max_size=12),
        st.sets(st.integers(0, 3), max_size=3))
+@example([0.0] * 9 + [1.0, 1300.0, 0.0], set())  # optimum at a minimum green
 def test_batched_splits_match_scalar_four_phase(mu, idle_phases):
     mu = np.array(mu)
     for p in idle_phases:  # zero demand on whole phases
