@@ -81,12 +81,18 @@ def read(source: str | Path | dict, kind: str | None) -> dict:
     return doc
 
 
+def is_a(value, kind: type | tuple[type, ...]) -> bool:
+    """Whether ``value`` is a ``kind`` and not a bool, which JSON keeps apart
+    from numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def typed(doc: dict, name: str, kind: type | tuple[type, ...], what: str):
     """``doc[name]``, which must be a ``kind`` but not a bool (``what`` names it)."""
     if not isinstance(doc, dict) or name not in doc:
         raise ValueError(f"document field {name!r} is missing")
     value = doc[name]
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if not is_a(value, kind):
         raise ValueError(f"document field {name!r} must be {what}")
     return value
 

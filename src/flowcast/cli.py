@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -162,10 +163,6 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         synth_cfg["seed"] = args.seed
     with _typed_values("synth"):
-        if "anomaly_days" in synth_cfg:
-            synth_cfg["anomaly_days"] = tuple(
-                (int(d), tuple(m)) for d, m in synth_cfg["anomaly_days"]
-            )
         cfg = SynthConfig(**synth_cfg)
     out, mhash = _start_run(args, {}, {"synth": asdict(cfg)}, seed=cfg.seed)
     ds, truth = generate(cfg)
@@ -224,8 +221,9 @@ def _split_spec_from_args(args, ds: FlowDataset) -> SplitSpec:
 def cmd_predict(args) -> int:
     ds = _load_input(args)
     spec = _split_spec_from_args(args, ds)
-    if not args.date and not args.sample:
-        raise ValidationError("predict needs --date (holdout) or --sample (external file)")
+    if bool(args.date) == bool(args.sample):
+        raise ValidationError("predict needs exactly one of --date (holdout) and "
+                              "--sample (external file)")
     out, mhash = _start_run(
         args, {"input": str(args.input), "sample": args.sample or "", "date": args.date or ""},
         {"split": asdict(spec), "pls": {"n_components": args.n_components}})
@@ -318,8 +316,7 @@ def _intersection_from_config(ds: FlowDataset, config: dict) -> IntersectionConf
     kwargs.setdefault("analysis_period_hours", ds.interval_minutes / 60.0)
     with _typed_values("intersection"):
         if "phases" in kwargs:
-            phases = tuple(tuple(int(m) for m in p) for p in kwargs.pop("phases"))
-            return IntersectionConfig(phases=phases, n_movements=ds.n_movements, **kwargs)
+            return IntersectionConfig(n_movements=ds.n_movements, **kwargs)
         return IntersectionConfig.default_for(ds.movements, **kwargs)
 
 
@@ -470,17 +467,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+    # Each warning a command raises prints as one line; the filters that
+    # decide whether it shows, or raises, are left as they are.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

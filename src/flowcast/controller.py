@@ -22,7 +22,7 @@ import numpy as np
 
 from . import artifact
 from .delay import SCENARIOS, DelayReport, IntersectionConfig, lower_bound_delays, simulate_day
-from .flowdata import FlowDataset, SplitSpec, split_at
+from .flowdata import FlowDataset, SplitSpec, grid_to_vector, split_at, vector_to_grid
 from .pls import PlsModel, fit_pls_kernel, predict, pls_to_json, pls_from_json
 from .segmentation import FitConfig, PeriodPlan, SegmentationPlan, fit_value, segment_cost
 
@@ -125,9 +125,8 @@ class PlsModelBank:
         if (period, t) not in self.models or self.horizons[period] != horizon_end:
             raise ValueError(f"model bank has no entry for period {period}, time {t} "
                              f"and horizon {horizon_end}")
-        z = np.asarray(measured_grid, dtype=float).T.reshape(-1)
-        y = predict(self.models[(period, t)], z)
-        return y.reshape(self.n_movements, horizon_end - t).T
+        y = predict(self.models[(period, t)], grid_to_vector(measured_grid))
+        return vector_to_grid(y, horizon_end - t, self.n_movements)
 
     def prediction_id(self, period: int, t: int) -> str:
         return f"pls:{period}:{t}"

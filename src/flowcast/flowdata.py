@@ -45,6 +45,15 @@ def day_of_week_tag(date_label: str) -> str:
     return DOW_TAGS[d.weekday()]
 
 
+def divide_day(k, name: str) -> int:
+    """``MINUTES_PER_DAY // k``, which maps interval minutes to intervals per
+    day and back.  ``k`` must be an integer (not a bool), at least 1, that
+    divides a day; else a ``ValidationError`` names the setting ``name``."""
+    if not artifact.is_a(k, int) or k < 1 or MINUTES_PER_DAY % k:
+        raise ValidationError(f"{name}={k!r} does not divide a day")
+    return MINUTES_PER_DAY // k
+
+
 def vector_to_grid(x: np.ndarray, intervals_per_day: int, n_movements: int) -> np.ndarray:
     """Reshape a day vector (movement-major blocks) to a (T, M) grid."""
     x = np.asarray(x, dtype=float)
@@ -79,14 +88,9 @@ def _check_movement_labels(labels) -> None:
 
 def _check_days(days) -> None:
     """Reject day records that ``save_dataset`` could write but
-    ``load_dataset`` would not read back as they are: it derives each tag
-    from the date and sorts the days."""
+    ``load_dataset`` would not read back as they are: it sorts the days."""
     previous = None
     for rec in days:
-        tag = day_of_week_tag(rec.date)
-        if rec.day_of_week != tag:
-            raise ValidationError(
-                f"day {rec.date}: weekday tag {rec.day_of_week!r} should be {tag!r}")
         if previous is not None and rec.date <= previous:
             raise ValidationError(f"day {rec.date} does not come after day {previous}")
         previous = rec.date
@@ -94,10 +98,16 @@ def _check_days(days) -> None:
 
 @dataclass(frozen=True)
 class DayRecord:
-    """One recorded day: ISO date label plus derived weekday tag."""
+    """One recorded day, named by its ISO date (YYYY-MM-DD)."""
 
     date: str
-    day_of_week: str
+
+    def __post_init__(self) -> None:
+        day_of_week_tag(self.date)
+
+    @property
+    def day_of_week(self) -> str:
+        return day_of_week_tag(self.date)
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,7 @@ class FlowDataset:
 
     Attributes
     ----------
-    days : tuple of DayRecord, YYYY-MM-DD dates strictly increasing, each
-        tagged with its own weekday
+    days : tuple of DayRecord, dates strictly increasing
     flows : (D, T*M) float array, non-negative and finite
     interval_minutes : length of one recording interval
     movements : movement labels, one per column block
@@ -124,11 +133,7 @@ class FlowDataset:
         object.__setattr__(self, "movements", tuple(str(m) for m in self.movements))
         _check_movement_labels(self.movements)
         flows = np.array(self.flows, dtype=float)
-        if self.interval_minutes < 1 or MINUTES_PER_DAY % self.interval_minutes != 0:
-            raise ValidationError(
-                f"interval_minutes={self.interval_minutes} does not divide a day"
-            )
-        t = MINUTES_PER_DAY // self.interval_minutes
+        t = divide_day(self.interval_minutes, "interval_minutes")
         if flows.ndim != 2 or flows.shape != (len(self.days), t * len(self.movements)):
             raise ValidationError(
                 f"flow matrix shape {flows.shape} does not match "
@@ -168,9 +173,8 @@ class FlowDataset:
 
 @dataclass(frozen=True)
 class CenteredMatrix:
-    """A dataset together with its day-mean profile and centered residuals."""
+    """A dataset's day-mean profile and centered residuals."""
 
-    base: FlowDataset
     mean: np.ndarray
     residuals: np.ndarray
 
@@ -560,11 +564,7 @@ def load_csv(
     result does not depend on row order in the file.
     """
     path = Path(path)
-    if interval_minutes < 1 or MINUTES_PER_DAY % interval_minutes != 0:
-        raise ValidationError(f"interval_minutes={interval_minutes} does not divide a day")
-    intervals_per_day = MINUTES_PER_DAY // interval_minutes
-
-    pairs, flow, seen = _parse_rows(path, intervals_per_day)
+    pairs, flow, seen = _parse_rows(path, divide_day(interval_minutes, "interval_minutes"))
     labels = {mv for _, mv in pairs}
     if movement_order is not None:
         movements = tuple(movement_order)
@@ -590,8 +590,8 @@ def load_csv(
         raise ValidationError(f"{path}: no complete days")
 
     rows = [pairs[d, mv] for d in keep for mv in movements]
-    days = tuple(DayRecord(d, day_of_week_tag(d)) for d in keep)
-    return FlowDataset(days=days, flows=flow[rows].reshape(len(keep), -1),
+    return FlowDataset(days=tuple(map(DayRecord, keep)),
+                       flows=flow[rows].reshape(len(keep), -1),
                        interval_minutes=interval_minutes, movements=movements)
 
 
@@ -699,7 +699,7 @@ def center(ds: FlowDataset) -> CenteredMatrix:
     if ds.n_days < 2:
         raise ValidationError("centering requires at least 2 days")
     mean = mean_profile(ds)
-    return CenteredMatrix(base=ds, mean=mean, residuals=ds.flows - mean)
+    return CenteredMatrix(mean=mean, residuals=ds.flows - mean)
 
 
 def _aggregate(block: np.ndarray, stride: int) -> np.ndarray:

@@ -23,7 +23,8 @@ same iteration on the fold blocks of one pair of Gram matrices per dataset.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,20 +69,23 @@ class PlsModel:
     n_dropped: int = 0
     z_residual_norm: float = 0.0
     y_residual_norm: float = 0.0
-    _pinv_pt: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self._pinv_pt is None:
-            # Cached once: prediction is a fixed affine map.
-            self._pinv_pt = np.linalg.pinv(self.predictor_loadings.T)
 
     @property
     def n_components(self) -> int:
         return self.predictor_loadings.shape[1]
 
+    @cached_property
+    def _score_map(self) -> np.ndarray:
+        """``pinv(P.T)``, which maps centered predictors to scores; computed
+        once, as prediction is a fixed affine map."""
+        return np.linalg.pinv(self.predictor_loadings.T)
 
-def _first_nonzero_sign_fix(omega, p, c):
-    """Flip (omega, p, c) together so the first nonzero entry of p is positive."""
+
+def _loadings(zc, yc, omega):
+    """The unit score ``omega`` with its loadings ``p = zc.T omega`` and
+    ``c = yc.T omega``, all three flipped together so that the first nonzero
+    entry of ``p`` is positive."""
+    p, c = zc.T @ omega, yc.T @ omega
     mags = np.abs(p)
     scale = mags.max()
     if scale == 0:
@@ -92,7 +96,18 @@ def _first_nonzero_sign_fix(omega, p, c):
     return omega, p, c
 
 
-def _validate_fit_args(z, y, n_components):
+def _stop(i: int, n_components: int, stacklevel: int) -> int:
+    """Warn that the drop rule stopped the fit after ``i`` of
+    ``n_components`` components; ``stacklevel`` counts from the caller, as in
+    ``warnings.warn``.  Returns the number dropped."""
+    dropped = n_components - i
+    warnings.warn(f"stopping after {i} components: no covariance direction left "
+                  f"({dropped} dropped)", stacklevel=stacklevel + 1)
+    return dropped
+
+
+def _centered_fit_args(z, y, n_components):
+    """Checked fit arguments, centered: ``(zc, yc, mean_z, mean_y)``."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     if z.ndim != 2 or y.ndim != 2:
@@ -104,7 +119,8 @@ def _validate_fit_args(z, y, n_components):
         raise ValueError("fitting requires at least 2 days")
     if not (1 <= n_components <= d - 1):
         raise ValueError(f"n_components={n_components} outside [1, {d - 1}] for {d} days")
-    return z, y
+    mean_z, mean_y = z.mean(axis=0), y.mean(axis=0)
+    return z - mean_z, y - mean_y, mean_z, mean_y
 
 
 def fit_pls(z: np.ndarray, y: np.ndarray, n_components: int,
@@ -123,12 +139,10 @@ def fit_pls(z: np.ndarray, y: np.ndarray, n_components: int,
     PlsModel — with fewer than ``n_components`` components (and a warning)
     if deflation runs out of covariance directions early.
     """
-    z, y = _validate_fit_args(z, y, n_components)
-    mean_z, mean_y = z.mean(axis=0), y.mean(axis=0)
-    zc, yc = z - mean_z, y - mean_y
+    zc, yc, mean_z, mean_y = _centered_fit_args(z, y, n_components)
     z_scale = np.linalg.norm(zc)
 
-    omegas, ps, cs = [], [], []
+    components = []
     dropped = 0
     for i in range(n_components):
         cross = zc.T @ yc
@@ -137,32 +151,24 @@ def fit_pls(z: np.ndarray, y: np.ndarray, n_components: int,
         t_raw = zc @ r
         norm = np.linalg.norm(t_raw)
         if norm <= _DEGENERATE_REL * z_scale or s[0] == 0.0:
-            dropped = n_components - i
-            warnings.warn(
-                f"stopping after {i} components: no covariance direction left "
-                f"({dropped} dropped)",
-                stacklevel=2,
-            )
+            dropped = _stop(i, n_components, stacklevel=2)
             break
-        omega = t_raw / norm
-        p = zc.T @ omega
-        c = yc.T @ omega
-        omega, p, c = _first_nonzero_sign_fix(omega, p, c)
-        omegas.append(omega)
-        ps.append(p)
-        cs.append(c)
+        omega, p, c = _loadings(zc, yc, t_raw / norm)
+        components.append((omega, p, c))
         zc = zc - np.outer(omega, p)
         yc = yc - np.outer(omega, c)
 
-    return _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped,
+    return _assemble(zc.shape, components, mean_z, mean_y, split, dropped,
                      np.linalg.norm(zc), np.linalg.norm(yc))
 
 
-def _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped, z_res, y_res):
-    d = z.shape[0]
-    n = len(omegas)
+def _assemble(shape, components, mean_z, mean_y, split, dropped, z_res, y_res):
+    """The model of the ``(omega, p, c)`` triples fitted on ``shape``-shaped
+    predictors."""
+    (d, dim_z), n = shape, len(components)
+    omegas, ps, cs = zip(*components) if n else ((), (), ())
     return PlsModel(
-        predictor_loadings=np.column_stack(ps) if n else np.zeros((z.shape[1], 0)),
+        predictor_loadings=np.column_stack(ps) if n else np.zeros((dim_z, 0)),
         predicted_loadings=np.column_stack(cs) if n else np.zeros((mean_y.size, 0)),
         scores=np.column_stack(omegas) if n else np.zeros((d, 0)),
         mean_z=np.asarray(mean_z, dtype=float),
@@ -251,12 +257,7 @@ def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int, z_scale: f
             if t_norm <= _DEGENERATE_REL * z_scale:
                 omega = None
         if omega is None:
-            dropped = n_components - i
-            warnings.warn(
-                f"stopping after {i} components: no covariance direction left "
-                f"({dropped} dropped)",
-                stacklevel=3,
-            )
+            dropped = _stop(i, n_components, stacklevel=3)
             break
         omegas.append(omega)
         if residuals or i + 1 < n_components:
@@ -279,22 +280,11 @@ def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
     recovered from the original centered matrices, which is exact because the
     scores are mutually orthogonal.
     """
-    z, y = _validate_fit_args(z, y, n_components)
-    mean_z, mean_y = z.mean(axis=0), y.mean(axis=0)
-    zc, yc = z - mean_z, y - mean_y
+    zc, yc, mean_z, mean_y = _centered_fit_args(z, y, n_components)
     scores, dropped, (z_res, y_res) = _kernel_scores(
         zc @ zc.T, yc @ yc.T, n_components, np.linalg.norm(zc), residuals=True)
-
-    omegas, ps, cs = [], [], []
-    for omega in scores:
-        p = zc.T @ omega
-        c = yc.T @ omega
-        omega, p, c = _first_nonzero_sign_fix(omega, p, c)
-        omegas.append(omega)
-        ps.append(p)
-        cs.append(c)
-
-    return _assemble(z, omegas, ps, cs, mean_z, mean_y, split, dropped, z_res, y_res)
+    return _assemble(zc.shape, [_loadings(zc, yc, omega) for omega in scores],
+                     mean_z, mean_y, split, dropped, z_res, y_res)
 
 
 def predict(model: PlsModel, z_sample: np.ndarray) -> np.ndarray:
@@ -312,7 +302,7 @@ def predict(model: PlsModel, z_sample: np.ndarray) -> np.ndarray:
             f"predictor sample has {zs2.shape[1]} features, model expects "
             f"{model.mean_z.size}"
         )
-    scores = (zs2 - model.mean_z) @ model._pinv_pt
+    scores = (zs2 - model.mean_z) @ model._score_map
     out = scores @ model.predicted_loadings.T + model.mean_y
     return out[0] if single else out
 

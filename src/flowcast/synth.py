@@ -24,7 +24,7 @@ from datetime import date as _date, timedelta
 import numpy as np
 
 from . import artifact
-from .flowdata import DayRecord, FlowDataset, day_of_week_tag
+from .flowdata import DayRecord, FlowDataset, divide_day, grid_to_vector
 
 _LEGS = ("NB", "SB", "EB", "WB")
 _TURNS = ("LT", "T", "RT")
@@ -71,30 +71,44 @@ class SynthConfig:
     start_date: str = "2024-01-01"
 
     def __post_init__(self) -> None:
+        # Every setting is checked here, before a run writes anything: a
+        # wrong type is a TypeError, a bad value a ValueError, each naming it.
+        for name in ("seed", "n_days", "n_movements", "n_components"):
+            if not artifact.is_a(getattr(self, name), int):
+                raise TypeError(f"{name} must be an integer")
+        if not artifact.is_a(self.noise_sigma, (int, float)):
+            raise TypeError("noise_sigma must be a number")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_days < 2 or self.n_movements < 1:
-            raise ValueError("need at least 2 days and 1 movement")
-        if 1440 % self.intervals_per_day != 0:
-            raise ValueError(
-                f"intervals_per_day={self.intervals_per_day} does not divide 24h"
-            )
+            raise ValueError("need n_days >= 2 and n_movements >= 1")
+        divide_day(self.intervals_per_day, "intervals_per_day")
         if not (1 <= self.n_components <= min(self.n_days - 1, 8)):
             raise ValueError("n_components outside [1, min(n_days - 1, 8)]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.mean_profile_shape not in ("bimodal_commute", "flat"):
             raise ValueError(f"unknown mean_profile_shape {self.mean_profile_shape!r}")
+        try:
+            DayRecord(self.start_date)
+            _date.fromisoformat(self.start_date) + timedelta(days=self.n_days - 1)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"start_date: {exc}") from None
         norm = []
         for day_index, mults in self.anomaly_days:
-            if not (0 <= day_index < self.n_days):
-                raise ValueError(f"anomaly day index {day_index} out of range")
-            if len(mults) != self.n_components:
-                raise ValueError("anomaly multipliers must cover every component")
-            norm.append((int(day_index), tuple(float(v) for v in mults)))
+            if not artifact.is_a(day_index, int) or not 0 <= day_index < self.n_days:
+                raise ValueError(f"anomaly_days: day index {day_index!r} is not an "
+                                 f"integer in [0, {self.n_days})")
+            mults = tuple(float(v) for v in mults)
+            if len(mults) != self.n_components or not np.isfinite(mults).all():
+                raise ValueError(f"anomaly_days: day {day_index} needs one finite "
+                                 f"multiplier per component")
+            norm.append((day_index, mults))
         object.__setattr__(self, "anomaly_days", tuple(norm))
 
     @property
     def interval_minutes(self) -> int:
-        return 1440 // self.intervals_per_day
+        return divide_day(self.intervals_per_day, "intervals_per_day")
 
 
 @dataclass(frozen=True)
@@ -200,7 +214,7 @@ def generate(cfg: SynthConfig) -> tuple[FlowDataset, SynthTruth]:
     t, m, d, k = cfg.intervals_per_day, cfg.n_movements, cfg.n_days, cfg.n_components
     hours = (np.arange(t) + 0.5) * cfg.interval_minutes / 60.0
 
-    mean_vec = _mean_grid(cfg, hours, rng).T.reshape(-1)
+    mean_vec = grid_to_vector(_mean_grid(cfg, hours, rng))
 
     raw = _component_templates(cfg, hours, rng)
     raw_mat = raw.transpose(1, 0, 2).reshape(t * m, k)  # movement-major rows
@@ -223,13 +237,8 @@ def generate(cfg: SynthConfig) -> tuple[FlowDataset, SynthTruth]:
     flows = np.maximum(flows, 0.0)
 
     start = _date.fromisoformat(cfg.start_date)
-    days = []
-    for i in range(d):
-        label = (start + timedelta(days=i)).isoformat()
-        days.append(DayRecord(label, day_of_week_tag(label)))
-
     ds = FlowDataset(
-        days=tuple(days),
+        days=tuple(DayRecord((start + timedelta(days=i)).isoformat()) for i in range(d)),
         flows=flows,
         interval_minutes=cfg.interval_minutes,
         movements=movement_labels(m),

@@ -349,7 +349,7 @@ def rowwise_load_csv(path, interval_minutes, movement_order=None):
         for m, movement in enumerate(movements):
             for t in range(intervals_per_day):
                 flows[i, m * intervals_per_day + t] = day[(movement, t + 1)]
-    days = tuple(DayRecord(d, day_of_week_tag(d)) for d in dates)
+    days = tuple(DayRecord(d) for d in dates)
     return FlowDataset(days=days, flows=flows, interval_minutes=interval_minutes,
                        movements=movements)
 

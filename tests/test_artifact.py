@@ -185,7 +185,7 @@ def tiny_pls() -> PlsModel:
 
 def tiny_dataset() -> FlowDataset:
     return FlowDataset(
-        days=(DayRecord("2024-01-01", "Mon"), DayRecord("2024-01-02", "Tue")),
+        days=(DayRecord("2024-01-01"), DayRecord("2024-01-02")),
         flows=[[0.5, 1.25], [2.0, 0.0]], interval_minutes=720, movements=("NB T",),
     )
 

@@ -317,7 +317,16 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
             ("control", {"intersection": {"cycle_seconds": "x"}}, "'intersection'"),
             ("control", {"intersection": {"min_green_fraction": 0.0}}, "min_green"),
             ("control", {"controller": {"clamp_predictions": "no"}}, "clamp_predictions"),
-            ("control", {"intersection": {"cycle_seconds": float("nan")}}, "cycle_seconds")):
+            ("control", {"intersection": {"cycle_seconds": float("nan")}}, "cycle_seconds"),
+            ("synth", {"synth": {"noise_sigma": float("nan")}}, "noise_sigma"),
+            ("synth", {"synth": {"noise_sigma": float("inf")}}, "noise_sigma"),
+            ("synth", {"synth": {"anomaly_days": [[3, [float("nan"), 0, 0, 0]]]}},
+             "anomaly_days"),
+            ("synth", {"synth": {"anomaly_days": [[3, [float("inf"), 0, 0, 0]]]}},
+             "anomaly_days"),
+            ("synth", {"synth": {"anomaly_days": [[1.5, [1.0, 0, 0, 0]]]}}, "anomaly_days"),
+            ("synth", {"synth": {"intervals_per_day": True}}, "intervals_per_day"),
+            ("synth", {"synth": {"intervals_per_day": 0}}, "intervals_per_day")):
         cfg = tmp_path / f"{command}_bad.json"
         cfg.write_text(json.dumps(block))
         rc = main([command, "--input", str(dataset_dir / "flows.csv"),
@@ -325,6 +334,12 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and err.count("\n") == 1
+        assert not (tmp_path / command / "manifest.json").exists()  # rejected before it
+    rc = main(["predict", "--input", str(dataset_dir / "flows.csv"), "--date", "2024-01-04",
+               "--sample", str(dataset_dir / "flows.csv"), "--out-dir", str(tmp_path / "g")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--sample" in err and err.count("\n") == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before any arithmetic
         rc = main(["segment", "--input", str(dataset_dir / "flows.csv"),
@@ -366,6 +381,22 @@ def test_bad_plan_exits_1(field, value, named, dataset_dir, tmp_path, capsys):
     assert err.startswith("error:") and named in err and err.count("\n") == 1
 
 
+def test_a_warning_prints_as_one_line(dataset_dir, tmp_path, capsys):
+    """Dropping an incomplete day is one ``warning:`` line, and the run writes
+    the bytes it writes for the file without that day."""
+    lines = (dataset_dir / "flows.csv").read_text().splitlines(keepends=True)
+    flows, out = tmp_path / "flows.csv", tmp_path / "plan"   # no sidecar
+    trees = []
+    for kept, err in ((lines[:-1], "warning: dropping 1 incomplete day(s): 2024-01-10\n"),
+                      ([x for x in lines if not x.startswith("2024-01-10,")], "")):
+        flows.write_text("".join(kept))
+        assert main(["segment", "--input", str(flows), "--interval-minutes", "60",
+                     "--segments", "2", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == err
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert trees[0] == trees[1] and "plan.json" in trees[0]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -391,7 +422,7 @@ def test_readme_config_block_is_accepted(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(block)
     assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 0
-    ds = FlowDataset(days=(DayRecord("2024-01-01", "Mon"), DayRecord("2024-01-02", "Tue")),
+    ds = FlowDataset(days=(DayRecord("2024-01-01"), DayRecord("2024-01-02")),
                      flows=np.zeros((2, 96 * 12)), interval_minutes=15,
                      movements=movement_labels(12))
     ic = _intersection_from_config(ds, json.loads(block))

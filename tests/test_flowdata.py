@@ -157,7 +157,7 @@ def test_load_csv_interval_minutes_must_divide_day(tmp_path):
 
 
 def test_dataset_validation():
-    days = (DayRecord("2024-03-04", "Mon"),)
+    days = (DayRecord("2024-03-04"),)
     with pytest.raises(ValidationError):
         FlowDataset(days=days, flows=np.ones((1, 5)), interval_minutes=360,
                     movements=("A", "B"))  # 5 not divisible into 2 blocks of 4
@@ -240,8 +240,7 @@ def test_sidecar_preserves_movement_order(tmp_path):
 
 
 def test_filter_days():
-    days = tuple(DayRecord(f"2024-03-{4 + i:02d}", day_of_week_tag(f"2024-03-{4 + i:02d}"))
-                 for i in range(7))
+    days = tuple(DayRecord(f"2024-03-{4 + i:02d}") for i in range(7))
     ds = FlowDataset(days=days, flows=np.arange(7.0)[:, None] * np.ones((7, 8)),
                      interval_minutes=360, movements=("A", "B"))
     wk = filter_days(ds, {"Mon", "Tue", "Wed", "Thu"})
@@ -269,7 +268,7 @@ def test_centering(noisy):
     cm = center(ds)
     assert np.allclose(cm.residuals.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(cm.mean + cm.residuals, ds.flows)
-    one = FlowDataset(days=(DayRecord("2024-03-04", "Mon"),),
+    one = FlowDataset(days=(DayRecord("2024-03-04"),),
                       flows=np.ones((1, 8)), interval_minutes=360,
                       movements=("A", "B"))
     with pytest.raises(ValidationError):
@@ -496,7 +495,7 @@ def test_read_sample_matches_row_by_row_parser(scratch_csv, field_limit, case, d
     text, minutes, movements = case
     scratch_csv.write_text(text, encoding="utf-8", newline="")
     t = 1440 // minutes
-    ds = FlowDataset(days=(DayRecord("2024-01-01", "Mon"), DayRecord("2024-01-02", "Tue")),
+    ds = FlowDataset(days=(DayRecord("2024-01-01"), DayRecord("2024-01-02")),
                      flows=np.zeros((2, t * len(movements))), interval_minutes=minutes,
                      movements=movements)
     cutoff = data.draw(st.integers(1, t - 1))
@@ -509,18 +508,18 @@ def test_read_sample_matches_row_by_row_parser(scratch_csv, field_limit, case, d
 @pytest.mark.parametrize("label", ["", " NB", "NB ", "\tNB", "NB\nT", "NB\rT"])
 def test_dataset_rejects_labels_csv_cannot_read_back(label):
     with pytest.raises(ValidationError, match=re.escape(repr(label))):
-        FlowDataset(days=(DayRecord("2024-03-04", "Mon"),), flows=np.ones((1, 8)),
+        FlowDataset(days=(DayRecord("2024-03-04"),), flows=np.ones((1, 8)),
                     interval_minutes=360, movements=("A", label))
 
 
 def test_dataset_rejects_repeated_labels():
     with pytest.raises(ValidationError, match="'A' repeats"):
-        FlowDataset(days=(DayRecord("2024-03-04", "Mon"),), flows=np.ones((1, 12)),
+        FlowDataset(days=(DayRecord("2024-03-04"),), flows=np.ones((1, 12)),
                     interval_minutes=360, movements=("A", "B", "A"))
 
 
 def test_labels_with_commas_and_quotes_round_trip(tmp_path):
-    ds = FlowDataset(days=(DayRecord("2024-03-04", "Mon"), DayRecord("2024-03-05", "Tue")),
+    ds = FlowDataset(days=(DayRecord("2024-03-04"), DayRecord("2024-03-05")),
                      flows=np.arange(24.0).reshape(2, 12), interval_minutes=360,
                      movements=("NB,L", 'S"B', '"q"'))
     csv_path, meta_path = tmp_path / "f.csv", tmp_path / "f.meta.json"
@@ -530,22 +529,21 @@ def test_labels_with_commas_and_quotes_round_trip(tmp_path):
     assert np.array_equal(back.flows, ds.flows)
 
 
-TWO_DAYS = (("2024-01-01", "Mon"), ("2024-01-02", "Tue"))
+TWO_DAYS = ("2024-01-01", "2024-01-02")
 
 
 @pytest.mark.parametrize("days, named", [
-    ((("2024-01-01", "Mon"), ("junk", "Tue")), "junk"),  # not a date
-    ((("2024-01-01", "Mon"), ("20240102", "Tue")), "20240102"),  # not YYYY-MM-DD
+    (("2024-01-01", "junk"), "junk"),  # not a date
+    (("2024-01-01", "20240102"), "20240102"),  # not YYYY-MM-DD
     (TWO_DAYS[::-1], "day 2024-01-01"),  # unsorted
     ((TWO_DAYS[0], TWO_DAYS[0]), "day 2024-01-01"),  # repeated
-    ((("2024-01-01", "Fri"), TWO_DAYS[1]), "day 2024-01-01"),  # wrong weekday
 ])
 def test_dataset_rejects_days_that_do_not_round_trip(tmp_path, days, named):
     """Each case was accepted, then failed to load or loaded back changed."""
     flows = np.arange(16.0).reshape(2, 8)
 
-    def dataset(records):
-        return FlowDataset(days=tuple(DayRecord(*r) for r in records), flows=flows,
+    def dataset(dates):
+        return FlowDataset(days=tuple(map(DayRecord, dates)), flows=flows,
                            interval_minutes=360, movements=("A", "B"))
 
     with pytest.raises(ValidationError, match=re.escape(named)):
@@ -615,7 +613,7 @@ def test_save_dataset_writes_the_row_writer_bytes(scratch_csv, movements, minute
     flows = data.draw(st.lists(FLOWS, min_size=n_days * t * len(movements),
                                max_size=n_days * t * len(movements)))
     dates = [f"2024-01-{d:02d}" for d in range(1, n_days + 1)]
-    ds = FlowDataset(days=tuple(DayRecord(d, day_of_week_tag(d)) for d in dates),
+    ds = FlowDataset(days=tuple(DayRecord(d) for d in dates),
                      flows=np.array(flows).reshape(n_days, -1), interval_minutes=minutes,
                      movements=tuple(movements))
     meta_path = scratch_csv.with_suffix(".meta.json")

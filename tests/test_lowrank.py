@@ -9,13 +9,13 @@ from flowcast import (
     project,
     reconstruct,
 )
-from flowcast.flowdata import DayRecord, day_of_week_tag
+from flowcast.flowdata import DayRecord
 from flowcast.lowrank import pca_from_json, pca_to_json
 
 
 def make_dataset(flows, interval_minutes, movements):
     dates = [f"2024-01-{i + 1:02d}" for i in range(flows.shape[0])]
-    days = tuple(DayRecord(d, day_of_week_tag(d)) for d in dates)
+    days = tuple(DayRecord(d) for d in dates)
     return FlowDataset(days=days, flows=flows, interval_minutes=interval_minutes,
                        movements=movements)
 

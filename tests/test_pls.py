@@ -15,7 +15,7 @@ from flowcast import (
     split_at,
 )
 from flowcast import pls
-from flowcast.flowdata import DayRecord, FlowDataset, day_of_week_tag
+from flowcast.flowdata import DayRecord, FlowDataset
 from flowcast.pls import LoocvRecord, pls_from_json, pls_to_json
 
 from _oracles import refit_loocv
@@ -207,12 +207,12 @@ def test_loocv_matches_manual_fold(small):
 
 def test_loocv_uncorrelated_target_shows_no_skill(rng):
     """Independent targets: prediction cannot beat the fold mean on average."""
-    from flowcast.flowdata import DayRecord, FlowDataset, day_of_week_tag
+    from flowcast.flowdata import DayRecord, FlowDataset
 
     d, t, m = 30, 8, 2
     flows = np.abs(rng.normal(size=(d, t * m))) * 10 + 50
     dates = [f"2024-03-{i + 1:02d}" for i in range(d)]
-    days = tuple(DayRecord(s, day_of_week_tag(s)) for s in dates)
+    days = tuple(DayRecord(s) for s in dates)
     ds = FlowDataset(days=days, flows=flows, interval_minutes=180,
                      movements=("A", "B"))
     spec = SplitSpec(cutoff_index=4, predict_from=5, predict_to=8)
@@ -251,7 +251,7 @@ def loocv_case_data(n_days, t, cutoff, zs, ys, kind, distinct, copies, seed):
         grid[:, :, cutoff:] = float(rng.integers(0, 100))
     m = grid.shape[1]
     dates = [f"2024-03-{i + 1:02d}" for i in range(n_days)]
-    ds = FlowDataset(days=tuple(DayRecord(s, day_of_week_tag(s)) for s in dates),
+    ds = FlowDataset(days=tuple(DayRecord(s) for s in dates),
                      flows=grid.reshape(n_days, m * t), interval_minutes=1440 // t,
                      movements=tuple(f"M{i}" for i in range(m)))
     spec = SplitSpec(cutoff_index=cutoff, predict_from=cutoff + 1, predict_to=t,

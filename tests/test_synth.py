@@ -93,6 +93,10 @@ def test_movement_labels_and_weight_scales():
     dict(mean_profile_shape="triangular"),
     dict(n_days=10, anomaly_days=((99, (0.0, 0.0, 0.0, 0.0)),)),
     dict(anomaly_days=((0, (1.0,)),)),
+    dict(intervals_per_day=-96),
+    dict(seed=-1),
+    dict(start_date="2024-02-30"),
+    dict(start_date="9999-12-01"),  # its last day is past the calendar's
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
