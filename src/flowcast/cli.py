@@ -45,6 +45,7 @@ from .segmentation import (
     plan_to_json,
 )
 from .controller import (
+    BANK_FIT_REVISION,
     ControllerConfig,
     PlsModelBank,
     build_model_bank,
@@ -336,6 +337,7 @@ def _bank_for(ds: FlowDataset, plan, ctrl_cfg: ControllerConfig, n_components: i
         "plan": plan_to_json(plan),
         "window_halfwidth": ctrl_cfg.window_halfwidth,
         "n_components": n_components,
+        "fit_revision": BANK_FIT_REVISION,
         "tool_version": __version__,
     }, sort_keys=True)
     key = hashlib.sha256(key_material.encode("utf-8")).hexdigest()[:16]

@@ -14,6 +14,7 @@ are never revisited.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 from . import artifact
 from .delay import SCENARIOS, DelayReport, IntersectionConfig, lower_bound_delays, simulate_day
 from .flowdata import FlowDataset, SplitSpec, grid_to_vector, split_at, vector_to_grid
-from .pls import PlsModel, fit_pls_kernel, predict, pls_to_json, pls_from_json
+from .pls import PlsModel, fit_kernels, gram, predict, pls_to_json, pls_from_json
 from .segmentation import FitConfig, PeriodPlan, SegmentationPlan, fit_value, segment_cost
 
 
@@ -193,24 +194,57 @@ def bank_keys(plan: SegmentationPlan, halfwidth: int) -> list[tuple[int, int]]:
             for t in segment_window(tau, halfwidth, plan.n_intervals)]
 
 
+def _split_loadings(xc: np.ndarray, t: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Zc^T w, Yc^T w)`` for the split at ``t`` of the centered grid ``xc``
+    (D days, h intervals, M movements), from one product of the grid with the
+    (D, n) scores ``w``; loadings are movement-major, like ``split_at``'s
+    columns."""
+    both = np.einsum("itm,in->nmt", xc, w)
+    return tuple(np.ascontiguousarray(part.reshape(len(part), -1).T)
+                 for part in (both[:, :, :t], both[:, :, t:]))
+
+
+# Revision of the arithmetic ``build_model_bank`` fits with, part of the
+# bank-cache key: a cache fitted by other arithmetic is refitted rather than
+# read back with its bits (caches keyed without it are revision 1).  Raise it
+# whenever a fit's bits move.
+BANK_FIT_REVISION = 2
+
+
 def build_model_bank(ds: FlowDataset, plan: SegmentationPlan, cfg: ControllerConfig,
                      n_components: int) -> PlsModelBank:
     """Fit one predictor per (nominal switch, decision time in its window).
 
     For a plan with S periods and window width W this is (S-1) * W fits; each
     model predicts ``[t+1, tau_{i+1}]`` from measurements ``[1, t]`` at raw
-    resolution.
+    resolution, as ``fit_pls_kernel(*split_at(ds, spec))`` would.  The splits
+    share columns, so the (D, M, T) flow grid is centered once and its Gram
+    is summed once, block by block between the bank's distinct decision times
+    and horizons: a split's kernels are sums of blocks, and each model's
+    loadings come from one product of the centered grid with its scores.
     """
     validate_windows(plan, cfg.window_halfwidth)
     if plan.n_intervals != ds.intervals_per_day:
         raise ValueError("plan and dataset disagree on intervals per day")
     horizons = plan_horizons(plan)
+    keys = bank_keys(plan, cfg.window_halfwidth)
+    d, m, n_intervals = ds.n_days, ds.n_movements, ds.intervals_per_day
+    grid = ds.flows.reshape(d, m, n_intervals)
+    mean = grid.mean(axis=0)
+    by_interval = np.ascontiguousarray((grid - mean).transpose(0, 2, 1))
+    cuts = sorted({0, *horizons.values(), *(t for _, t in keys)})
+    blocks = [gram(by_interval[:, a:b].reshape(d, -1)) for a, b in zip(cuts, cuts[1:])]
+    upto = dict(zip(cuts[1:], itertools.accumulate(blocks)))  # kernel of [1, cut]
+    at = {cut: j for j, cut in enumerate(cuts)}
     models: dict[tuple[int, int], PlsModel] = {}
-    for i, t in bank_keys(plan, cfg.window_halfwidth):
-        spec = SplitSpec(cutoff_index=t, predict_from=t + 1, predict_to=horizons[i])
-        z, y = split_at(ds, spec)
+    for i, t in keys:
+        h = horizons[i]
+        spec = SplitSpec(cutoff_index=t, predict_from=t + 1, predict_to=h)
         try:
-            models[(i, t)] = fit_pls_kernel(z, y, n_components, split=spec)
+            models[(i, t)] = fit_kernels(
+                upto[t], sum(blocks[at[t]:at[h]]), n_components,
+                functools.partial(_split_loadings, by_interval[:, :h], t),
+                mean[:, :t].ravel(), mean[:, t:h].ravel(), spec)
         except Exception as exc:
             raise ValueError(
                 f"model fit failed for period {i}, decision time {t}: {exc}"

@@ -31,6 +31,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -76,6 +77,9 @@ class IntersectionConfig:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for m in (m for p in self.phases for m in p):
+            if not isinstance(m, Integral) or isinstance(m, bool):
+                raise ValueError(f"phases must hold integer movement indices, got {m!r}")
         phases = tuple(tuple(int(m) for m in p) for p in self.phases)
         object.__setattr__(self, "phases", phases)
         seen = [m for p in phases for m in p]

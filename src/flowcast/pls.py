@@ -18,10 +18,26 @@ kernel matrices ``Zc @ Zc.T`` and ``Yc @ Yc.T``, which is much cheaper when
 days are scarce relative to intervals.  The score equals the leading
 eigenvector of ``Kz @ Ky``, found by power iteration.  :func:`loocv` runs the
 same iteration on the fold blocks of one pair of Gram matrices per dataset.
+
+Deflation is a rank-1 update of each kernel: with ``P = I - w w^T`` and
+``k = K w``, ``P K P = K - w k^T - k w^T + (w^T k) w w^T``, which costs O(D^2)
+per component where the two dense products ``P K P`` cost O(D^3).
+
+Every product whose bits reach a written artifact takes a form whose bits do
+not depend on the OpenBLAS thread count, each checked at 1 and 2 threads.
+Threaded OpenBLAS splits the sums of ``x @ x.T``, of a (D, D) by (D, dim)
+product and of the norm of a large array, and ``np.linalg.qr`` and
+``np.linalg.svd`` change bits at some shapes (132 x 1200, for one).  So the
+Grams, the loadings, LOOCV's row factor and its residual product go through
+``np.einsum`` (numpy's own loops, no BLAS).  The (D, D) power-iteration
+matvecs stay in BLAS as vector-matrix products (bits checked for D up to
+511), and so do the small per-fold and per-prediction products (checked at
+the README's sizes).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -81,19 +97,49 @@ class PlsModel:
         return np.linalg.pinv(self.predictor_loadings.T)
 
 
-def _loadings(zc, yc, omega):
-    """The unit score ``omega`` with its loadings ``p = zc.T omega`` and
-    ``c = yc.T omega``, all three flipped together so that the first nonzero
-    entry of ``p`` is positive."""
-    p, c = zc.T @ omega, yc.T @ omega
+def gram(x: np.ndarray) -> np.ndarray:
+    """``x @ x.T`` summed by ``np.einsum``, as a multi-threaded ``x @ x.T``
+    splits its sums by thread.  Only the blocks on and above the diagonal are
+    summed, 44 rows at a time, and mirrored: half the work, and each entry
+    has the bits of the full ``np.einsum``."""
+    d = x.shape[0]
+    g = np.empty((d, d))
+    for i in range(0, d, 44):
+        block = np.einsum("ik,jk->ij", x[i:i + 44], x[i:])
+        g[i:i + 44, i:] = block
+        g[i:, i:i + 44] = block.T
+    return g
+
+
+def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x.T @ w`` for (D, dim) ``x`` and (D, n) ``w`` by ``np.einsum``, as a
+    C-ordered (dim, n) array."""
+    return np.ascontiguousarray(np.einsum("ik,in->nk", x, w).T)
+
+
+def _columns(vectors, length: int) -> np.ndarray:
+    """The ``length``-vectors as the columns of a C-ordered array."""
+    return np.ascontiguousarray(np.reshape(vectors, (len(vectors), length)).T)
+
+
+def _model(w, p, c, mean_z, mean_y, split, dropped, z_res, y_res) -> PlsModel:
+    """The model of scores ``w`` and loadings ``p``, ``c`` (one column per
+    component), each component's three columns flipped together so that the
+    first entry of ``p`` above 1e-12 of its largest is positive."""
     mags = np.abs(p)
-    scale = mags.max()
-    if scale == 0:
-        return omega, p, c
-    idx = int(np.argmax(mags > 1e-12 * scale))
-    if p[idx] < 0:
-        return -omega, -p, -c
-    return omega, p, c
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0, initial=0.0), axis=0)
+    flip = np.where(p[first, np.arange(p.shape[1])] < 0, -1.0, 1.0)
+    return PlsModel(
+        predictor_loadings=p * flip,
+        predicted_loadings=c * flip,
+        scores=w * flip,
+        mean_z=np.asarray(mean_z, dtype=float),
+        mean_y=np.asarray(mean_y, dtype=float),
+        split=split,
+        n_dropped=dropped,
+        z_residual_norm=float(z_res),
+        y_residual_norm=float(y_res),
+    )
 
 
 def _stop(i: int, n_components: int, stacklevel: int) -> int:
@@ -142,7 +188,7 @@ def fit_pls(z: np.ndarray, y: np.ndarray, n_components: int,
     zc, yc, mean_z, mean_y = _centered_fit_args(z, y, n_components)
     z_scale = np.linalg.norm(zc)
 
-    components = []
+    omegas, ps, cs = [], [], []
     dropped = 0
     for i in range(n_components):
         cross = zc.T @ yc
@@ -153,31 +199,17 @@ def fit_pls(z: np.ndarray, y: np.ndarray, n_components: int,
         if norm <= _DEGENERATE_REL * z_scale or s[0] == 0.0:
             dropped = _stop(i, n_components, stacklevel=2)
             break
-        omega, p, c = _loadings(zc, yc, t_raw / norm)
-        components.append((omega, p, c))
+        omega = t_raw / norm
+        p, c = zc.T @ omega, yc.T @ omega
+        omegas.append(omega)
+        ps.append(p)
+        cs.append(c)
         zc = zc - np.outer(omega, p)
         yc = yc - np.outer(omega, c)
 
-    return _assemble(zc.shape, components, mean_z, mean_y, split, dropped,
-                     np.linalg.norm(zc), np.linalg.norm(yc))
-
-
-def _assemble(shape, components, mean_z, mean_y, split, dropped, z_res, y_res):
-    """The model of the ``(omega, p, c)`` triples fitted on ``shape``-shaped
-    predictors."""
-    (d, dim_z), n = shape, len(components)
-    omegas, ps, cs = zip(*components) if n else ((), (), ())
-    return PlsModel(
-        predictor_loadings=np.column_stack(ps) if n else np.zeros((dim_z, 0)),
-        predicted_loadings=np.column_stack(cs) if n else np.zeros((mean_y.size, 0)),
-        scores=np.column_stack(omegas) if n else np.zeros((d, 0)),
-        mean_z=np.asarray(mean_z, dtype=float),
-        mean_y=np.asarray(mean_y, dtype=float),
-        split=split,
-        n_dropped=dropped,
-        z_residual_norm=float(z_res),
-        y_residual_norm=float(y_res),
-    )
+    return _model(_columns(omegas, zc.shape[0]), _columns(ps, zc.shape[1]),
+                  _columns(cs, yc.shape[1]), mean_z, mean_y, split, dropped,
+                  np.linalg.norm(zc), np.linalg.norm(yc))
 
 
 def _power_leading_score(kz: np.ndarray, ky: np.ndarray,
@@ -197,15 +229,17 @@ def _power_leading_score(kz: np.ndarray, ky: np.ndarray,
 
     def run(v0):
         """(v, eigenvalue, capped); v is None when the iterate collapses to zero."""
-        w = kz @ (ky @ v0)
+        # Vector-matrix products (bits checked at 1 and 2 threads); ``.dot``
+        # has the bits of ``@`` and ``np.linalg.norm`` with less call overhead.
+        w = v0.dot(ky).dot(kz)
         lam_prev = np.inf
         for _ in range(_POWER_MAX_ITER):
-            norm = np.linalg.norm(w)
+            norm = math.sqrt(w.dot(w))
             if norm <= tiny:
                 return None, 0.0, False
             v = w / norm
-            w = kz @ (ky @ v)  # the eigenvalue's matvec is the next iterate's
-            lam = float(v @ w)
+            w = v.dot(ky).dot(kz)  # the eigenvalue's matvec is the next iterate's
+            lam = float(v.dot(w))
             if abs(lam - lam_prev) <= _POWER_TOL * max(1.0, abs(lam)):
                 return v, lam, False
             lam_prev = lam
@@ -230,6 +264,18 @@ def _power_leading_score(kz: np.ndarray, ky: np.ndarray,
     return v, lam
 
 
+def _deflate(k: np.ndarray, omega: np.ndarray, k_omega: np.ndarray) -> np.ndarray:
+    """``P k P`` for ``P = I - omega omega^T``, given the unit ``omega`` and
+    ``k_omega = omega @ k``.  With ``u = k_omega - (omega^T k_omega / 2)
+    omega`` it is ``k - omega u^T - u omega^T``, the rank-1 update
+    ``k - omega k_omega^T - k_omega omega^T + (omega^T k_omega) omega omega^T``:
+    O(D^2), and symmetric to the bit when ``k`` is."""
+    u = k_omega - (0.5 * (omega @ k_omega)) * omega
+    a = omega[:, None] * u
+    a = a + a.T
+    return np.subtract(k, a, out=a)  # in place of a third (D, D) temporary
+
+
 def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int, z_scale: float,
                    residuals: bool = False
                    ) -> tuple[list[np.ndarray], int, tuple[float, float] | None]:
@@ -238,36 +284,58 @@ def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int, z_scale: f
     ``kz`` and ``ky`` are the centered day-by-day kernels and ``z_scale`` is
     the Frobenius norm of the centered predictors.  Each score is the leading
     eigenvector of the deflated ``kz @ ky``; deflation projects both kernels
-    onto the orthogonal complement of the score.  A score's sign does not
-    change the projection, so callers may fix signs afterwards.  Returns
-    (scores, number dropped, residual norms), warning when components are
-    dropped.  The residual norms of Z and Y come from the traces of the fully
-    deflated kernels; without ``residuals`` they are None, and the kernels
-    are deflated only while another score is wanted.
+    onto the orthogonal complement of the score by the rank-1 update of
+    :func:`_deflate`, O(D^2) per kernel where the dense ``P K P`` is O(D^3).
+    Its ``K omega`` is the vector-matrix product ``omega @ K``, the form the
+    power iteration uses, and the one of Z also measures the score.  A score's
+    sign does not change the projection, so callers may fix signs afterwards.
+    Returns (scores, number dropped, residual norms), warning when components
+    are dropped.  The residual norms of Z and Y come from the traces of the
+    fully deflated kernels; without ``residuals`` they are None, and the
+    kernels are deflated only while another score is wanted.  The floor for
+    power iterates scales with the kernels' Frobenius norms, summed by
+    ``np.einsum`` because the norm of a large array splits its sum by thread.
     """
     kz_cur, ky_cur = kz, ky
-    tiny = np.finfo(float).eps * float(np.linalg.norm(kz) * np.linalg.norm(ky))
+    tiny = np.finfo(float).eps * float(np.sqrt(np.einsum("ij,ij->", kz, kz)
+                                               * np.einsum("ij,ij->", ky, ky)))
     omegas = []
     dropped = 0
     for i in range(n_components):
         omega, _lam = _power_leading_score(kz_cur, ky_cur, tiny)
         if omega is not None:
+            kz_omega = omega @ kz_cur
             # Measured on the deflated kernel, like the direct route's score.
-            t_norm = float(np.sqrt(max(omega @ kz_cur @ omega, 0.0)))
-            if t_norm <= _DEGENERATE_REL * z_scale:
+            if np.sqrt(max(omega @ kz_omega, 0.0)) <= _DEGENERATE_REL * z_scale:
                 omega = None
         if omega is None:
             dropped = _stop(i, n_components, stacklevel=3)
             break
         omegas.append(omega)
         if residuals or i + 1 < n_components:
-            proj = np.eye(len(omega)) - np.outer(omega, omega)
-            kz_cur = proj @ kz_cur @ proj
-            ky_cur = proj @ ky_cur @ proj
+            kz_cur = _deflate(kz_cur, omega, kz_omega)
+            ky_cur = _deflate(ky_cur, omega, omega @ ky_cur)
     if not residuals:
         return omegas, dropped, None
     return omegas, dropped, (np.sqrt(max(np.trace(kz_cur), 0.0)),
                              np.sqrt(max(np.trace(ky_cur), 0.0)))
+
+
+def fit_kernels(kz: np.ndarray, ky: np.ndarray, n_components: int, loadings,
+                mean_z: np.ndarray, mean_y: np.ndarray,
+                split: SplitSpec | None = None) -> PlsModel:
+    """The kernel-route fit from the centered kernels ``kz`` and ``ky``.
+
+    ``loadings(W)`` returns the products ``(Zc^T W, Yc^T W)`` of the centered
+    predictors and targets with the (D, n) scores; loadings from the
+    undeflated matrices are exact because the scores are mutually orthogonal.
+    :func:`fit_pls_kernel` and ``controller.build_model_bank`` both fit
+    through here.
+    """
+    scores, dropped, (z_res, y_res) = _kernel_scores(
+        kz, ky, n_components, np.sqrt(max(np.trace(kz), 0.0)), residuals=True)
+    w = _columns(scores, kz.shape[0])
+    return _model(w, *loadings(w), mean_z, mean_y, split, dropped, z_res, y_res)
 
 
 def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
@@ -276,15 +344,12 @@ def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
 
     The (dim_z x dim_y) cross-product matrix is never formed.  Scores come
     from power iteration on ``Kz @ Ky`` (both D x D); deflation projects the
-    kernels onto the orthogonal complement of each score.  Loadings are
-    recovered from the original centered matrices, which is exact because the
-    scores are mutually orthogonal.
+    kernels onto the orthogonal complement of each score.  See
+    :func:`fit_kernels`.
     """
     zc, yc, mean_z, mean_y = _centered_fit_args(z, y, n_components)
-    scores, dropped, (z_res, y_res) = _kernel_scores(
-        zc @ zc.T, yc @ yc.T, n_components, np.linalg.norm(zc), residuals=True)
-    return _assemble(zc.shape, [_loadings(zc, yc, omega) for omega in scores],
-                     mean_z, mean_y, split, dropped, z_res, y_res)
+    return fit_kernels(gram(zc), gram(yc), n_components,
+                       lambda w: (_project(zc, w), _project(yc, w)), mean_z, mean_y, split)
 
 
 def predict(model: PlsModel, z_sample: np.ndarray) -> np.ndarray:
@@ -317,14 +382,37 @@ class LoocvRecord:
     decrease: float
 
 
-def _fold_kernel(gram: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _row_factor(x: np.ndarray) -> np.ndarray:
+    """A lower-triangular ``R`` whose rows keep the inner products of the rows
+    of ``x`` (``R R^T = x x^T``): the ``R`` of ``x = RQ`` (an LQ
+    factorization) by Householder reflections, as backward stable as a QR.
+    Its products go through ``np.einsum`` because LAPACK's QR and SVD change
+    bits with the BLAS thread count at some shapes (132 x 1200, for one)."""
+    a = np.array(x, dtype=float)
+    n = min(a.shape)
+    for i in range(n):
+        v = a[i, i:].copy()
+        vv = np.einsum("i,i->", v, v)
+        if vv == 0.0:
+            continue
+        v[0] += np.copysign(np.sqrt(vv), v[0])
+        tail = a[i:, i:]
+        scale = 2.0 / np.einsum("i,i->", v, v)
+        tail -= np.outer(np.einsum("ij,j->i", tail, v) * scale, v)
+    return np.tril(a[:, :n])
+
+
+def _fold_kernel(g: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Kernel of the days ``keep``, centered on their own mean, from a Gram
     matrix of all days: with row means ``r`` and grand mean ``s`` of the fold
     block ``G``, it is ``G - r 1^T - 1 r^T + s``, which costs O(D^2)."""
-    block = gram[np.ix_(keep, keep)]
+    block = g[:, keep][keep]
     r = block.mean(axis=1)
     s = r.mean()
-    return block - r[:, None] - r[None, :] + s
+    block -= r[:, None]
+    block -= r
+    block += s
+    return block
 
 
 def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int) -> list[LoocvRecord]:
@@ -335,9 +423,10 @@ def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int) -> list[LoocvReco
     held-out day), without touching a (D, dim) data matrix.  Z and Y are
     centered once and multiplied into two D x D Gram matrices, whose fold
     blocks are recentered in O(D^2) and give the fold scores ``W``.  For the
-    prediction, the R factor of ``Zg^T = QR`` stands in for the centered
-    predictors: its rows ``r_i`` keep their inner products, so with ``L`` the
-    fold's rows of ``R^T`` centered on the fold mean ``m``, the fold predicts
+    prediction, the lower-triangular factor ``R`` of ``Zg = RQ``
+    (:func:`_row_factor`) stands in for the centered predictors: its rows
+    ``r_i`` keep their inner products, so with ``L`` the fold's rows of ``R``
+    centered on the fold mean ``m``, the fold predicts
     ``y_f + a^T (Y_f - y_f)`` with ``a = W pinv(L^T W) (r_d - m)``.  That is
     ``W (W^T Kz W)^+ W^T k`` for the fold kernel ``Kz`` and the held-out
     day's cross row ``k``, without squaring the condition number of the
@@ -357,8 +446,8 @@ def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int) -> list[LoocvReco
     z, y = split_at(ds, spec)
     zg = z - z.mean(axis=0)
     yg = y - y.mean(axis=0)
-    gz, gy = zg @ zg.T, yg @ yg.T
-    zr = np.linalg.qr(zg.T, mode="r").T
+    gz, gy = gram(zg), gram(yg)
+    zr = _row_factor(zg)
     # Row d maps the centered targets to day d's fold residual y_d - y_hat_d.
     # As y_d - y_f = yg_d * D / (D-1), its diagonal entry is (D - sum a) / (D-1).
     residual_map = np.zeros((n_days, n_days))
@@ -375,7 +464,7 @@ def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int) -> list[LoocvReco
             a = w @ ((zr[d] - mean) @ np.linalg.pinv(w.T @ (rows - mean)))
         residual_map[d, keep] = -a
         residual_map[d, d] = (n_days - a.sum()) / (n_days - 1)
-    e_pred = np.abs(residual_map @ yg).sum(axis=1)
+    e_pred = np.abs(np.einsum("ij,jk->ik", residual_map, yg)).sum(axis=1)
     e_base = np.abs(yg).sum(axis=1) * (n_days / (n_days - 1))
     records = []
     for d in range(n_days):

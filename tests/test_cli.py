@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -282,6 +285,47 @@ def test_damaged_bank_cache_is_refitted(damage, dataset_dir, tmp_path, capsys):
     assert tree_bytes(out) == first  # cache rewritten, delay_report.json unchanged
 
 
+def test_bank_cache_under_the_key_without_fit_revision_is_not_read(dataset_dir, tmp_path,
+                                                                   monkeypatch, capsys):
+    """A cache keyed as before the fit revision entered the key was fitted by
+    the older arithmetic: the run refits instead of reading it."""
+    from flowcast import __version__, cli
+    from flowcast.segmentation import plan_to_json
+
+    out = tmp_path / "ctl"
+    argv = ["control", "--input", str(dataset_dir / "flows.csv"), "--out-dir", str(out),
+            "--date", "2024-01-05", "--segments", "3", "--window", "1",
+            "--n-components", "2"]
+    seen, fits = [], []
+    real_bank_for, real_build = cli._bank_for, cli.build_model_bank
+    monkeypatch.setattr(cli, "_bank_for", lambda *a: seen.append(a) or real_bank_for(*a))
+    monkeypatch.setattr(cli, "build_model_bank", lambda *a: fits.append(a) or real_build(*a))
+    assert main(argv) == 0
+    first = tree_bytes(out)
+    ds, plan, ctrl_cfg, n_components, cache_dir = seen[0]
+    (cache_file,) = cache_dir.glob("bank_*.json")
+    old_material = json.dumps({
+        "dataset": cli._dataset_hash(ds), "plan": plan_to_json(plan),
+        "window_halfwidth": ctrl_cfg.window_halfwidth, "n_components": n_components,
+        "tool_version": __version__}, sort_keys=True)
+    old_file = cache_dir / f"bank_{hashlib.sha256(old_material.encode()).hexdigest()[:16]}.json"
+    assert old_file != cache_file
+    # A bank that fits the plan, so it would be used if its key matched.
+    doc = json.loads(cache_file.read_text())
+    for entry in doc["models"]:
+        entry["model"]["predicted_loadings"] = (
+            2.0 * np.array(entry["model"]["predicted_loadings"])).tolist()
+    cache_file.rename(old_file)
+    old_file.write_text(json.dumps(doc))
+    old_bytes = old_file.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert len(fits) == 2 and capsys.readouterr().err == ""
+    assert old_file.read_bytes() == old_bytes
+    old_file.unlink()
+    assert tree_bytes(out) == first
+
+
 def test_rerun_same_out_dir_is_byte_identical(tmp_path):
     cfg = write_synth_config(tmp_path / "config.json")
     out = tmp_path / "synth"
@@ -318,6 +362,7 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
             ("control", {"intersection": {"min_green_fraction": 0.0}}, "min_green"),
             ("control", {"controller": {"clamp_predictions": "no"}}, "clamp_predictions"),
             ("control", {"intersection": {"cycle_seconds": float("nan")}}, "cycle_seconds"),
+            ("control", {"intersection": {"phases": [[1.5, 2], [0, 3]]}}, "phases"),
             ("synth", {"synth": {"noise_sigma": float("nan")}}, "noise_sigma"),
             ("synth", {"synth": {"noise_sigma": float("inf")}}, "noise_sigma"),
             ("synth", {"synth": {"anomaly_days": [[3, [float("nan"), 0, 0, 0]]]}},
@@ -437,9 +482,13 @@ def test_readme_config_block_is_accepted(tmp_path):
 # ``mean_decrease`` by 2 ulps (every ``loocv.csv`` byte stayed), and once more
 # when the green-split search moved to the coefficient-form delay kernel and a
 # 40-step golden section: that moved ``delay_report.json``'s scenario totals
-# by at most 4.6e-9 relative (every other file's bytes stayed).  A same-bytes
-# refactor must keep it.
-README_TREE_SHA256 = "c79aed7d044b9c958e59291a31b9a15877a1625a8e90d7212afe2d857ac50faa"
+# by at most 4.6e-9 relative (every other file's bytes stayed), and once more
+# when kernel PLS moved to rank-1 deflation, einsum Grams and one Gram pass
+# for the model bank, whose cache key gained the fit revision: that renamed
+# and moved the bank cache (at most 3.5e-12 relative per float) and moved one
+# float each of ``loocv_summary.json`` and the seg+params plan by 1 ulp.  It
+# holds at one and at two OpenBLAS threads.  A same-bytes refactor must keep it.
+README_TREE_SHA256 = "f086005565a2f57ba54018350bad2d446240a773f5d31a7a8418d316259580cc"
 
 
 def test_readme_sequence_tree_is_byte_identical(tmp_path, monkeypatch):
@@ -459,6 +508,40 @@ def test_readme_sequence_tree_is_byte_identical(tmp_path, monkeypatch):
     listing = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}\n"
                       for p in sorted(Path("runs").rglob("*")) if p.is_file())
     assert hashlib.sha256(listing.encode()).hexdigest() == README_TREE_SHA256, listing
+
+
+def test_readme_control_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The README's ``loocv`` and single-date ``control`` on the README data
+    write the same bytes at one and at two OpenBLAS threads.  OpenBLAS reads
+    its thread count when numpy loads, so each count runs in its own process:
+    exactly two subprocesses."""
+    import flowcast
+
+    data = tmp_path / "data"
+    assert main(["synth", "--seed", "7", "--out-dir", str(data)]) == 0
+    script = (
+        "import sys\n"
+        "from flowcast.cli import main\n"
+        "inp = ['--input', sys.argv[1]]\n"
+        "sys.exit(main(['loocv', *inp, '--n-components', '4', '--out-dir', 'runs/cv'])\n"
+        "         or main(['control', *inp, '--segments', '5', '--window', '3',\n"
+        "                  '--date', '2024-02-14', '--out-dir', 'runs/ctl']))\n")
+    package_root = str(Path(flowcast.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    trees = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads_{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", script, str(data / "flows.csv")],
+                              cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        trees.append(tree_bytes(cwd / "runs"))
+    # loocv: manifest, table, summary; control: manifest, plan, bank cache,
+    # delay CSV and report, two predictive plans
+    assert trees[0].keys() == trees[1].keys() and len(trees[0]) == 10
+    for name, content in trees[0].items():
+        assert trees[1][name] == content, name
 
 
 def test_sidecar_label_csv_cannot_read_back_exits_1(dataset_dir, tmp_path, capsys):

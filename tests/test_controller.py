@@ -14,9 +14,12 @@ from flowcast import (
     FixedProfileBank,
     PlsModelBank,
     SplitSpec,
+    SynthConfig,
     build_model_bank,
     fit_pls_kernel,
+    generate,
     optimal_segmentation,
+    predict,
     run_controller,
     segment_window,
     split_at,
@@ -327,6 +330,40 @@ def test_bank_counts():
     assert sum(len(segment_window(t, 3, 96)) for t in plan_s_w.switch_times) == 42
 
 
+def _close(a, b, tol=1e-12):
+    """``a`` equals ``b`` within ``tol`` of ``b``'s largest magnitude."""
+    return np.abs(a - b).max(initial=0.0) <= tol * np.abs(b).max(initial=0.0)
+
+
+@pytest.mark.parametrize("n_days, segments, halfwidth, n_components", [
+    (None, 3, 2, 3),    # the small fixture, 24 days at T=48
+    (132, 5, 3, 4),     # README sizes: 132 days at T=96, 12 movements
+])
+def test_bank_models_match_fit_pls_kernel(small, n_days, segments, halfwidth, n_components):
+    """Each model of the shared-Gram bank is the fit ``fit_pls_kernel`` makes
+    on its split, within 1e-12 relative: scores (up to sign), loadings,
+    residual norms and predictions."""
+    ds = small[0] if n_days is None else generate(SynthConfig(seed=3, n_days=n_days))[0]
+    profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
+    nominal = optimal_segmentation(profile, segments, CFG)
+    bank = build_model_bank(ds, nominal, ControllerConfig(window_halfwidth=halfwidth),
+                            n_components)
+    assert bank.n_models == (segments - 1) * (2 * halfwidth + 1)
+    for key, model in bank.models.items():
+        z, y = split_at(ds, model.split)
+        fresh = fit_pls_kernel(z, y, n_components, split=model.split)
+        assert (model.n_components, model.n_dropped) == (fresh.n_components, fresh.n_dropped)
+        signs = np.sign(np.sum(model.scores * fresh.scores, axis=0))
+        assert _close(model.scores, fresh.scores * signs), key
+        assert _close(model.predictor_loadings, fresh.predictor_loadings * signs), key
+        assert _close(model.predicted_loadings, fresh.predicted_loadings * signs), key
+        assert _close(model.mean_z, fresh.mean_z) and _close(model.mean_y, fresh.mean_y), key
+        for got, want in ((model.z_residual_norm, fresh.z_residual_norm),
+                          (model.y_residual_norm, fresh.y_residual_norm)):
+            assert abs(got - want) <= 1e-12 * want, key
+        assert _close(predict(model, z), predict(fresh, z)), key
+
+
 def test_build_model_bank_and_predictions(small):
     ds, _ = small
     profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
@@ -347,7 +384,6 @@ def test_build_model_bank_and_predictions(small):
     day = ds.day_grid(4)
     out = bank.predict_window(1, tau, horizons[1], day[:tau])
     assert out.shape == (horizons[1] - tau, ds.n_movements)
-    from flowcast import predict
     direct = predict(fresh, day[:tau].T.reshape(-1))
     assert np.allclose(out, direct.reshape(ds.n_movements, -1).T, atol=1e-12)
     assert bank.prediction_id(1, tau) == f"pls:1:{tau}"

@@ -96,6 +96,15 @@ def test_intersection_config_validation():
         IntersectionConfig(phases=((0,), (0, 1)), n_movements=2)
     with pytest.raises(ValueError, match="partition"):
         IntersectionConfig(phases=((0,),), n_movements=2)
+    labels = movement_labels(12)
+    for bad in (1.5, 2.0, True, "1"):
+        phases = [[bad, 2, 4, 5], [0, 3], [7, 8, 10, 11], [6, 9]]
+        with pytest.raises(ValueError, match="phases must hold integer movement indices"):
+            IntersectionConfig(phases=phases, n_movements=12)
+    ic = IntersectionConfig(phases=[[np.int64(1), 2, 4, 5], [0, 3], [7, 8, 10, 11], [6, 9]],
+                            n_movements=12)
+    assert ic.phases == IntersectionConfig.default_for(labels).phases
+    assert all(type(m) is int for p in ic.phases for m in p)
     with pytest.raises(ValueError):
         two_phase(min_green_fraction=0.5)  # 2 * 0.5 > 1 - 16/120
     with pytest.raises(ValueError):

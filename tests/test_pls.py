@@ -148,6 +148,27 @@ def test_rank_deficient_predictor_drops_components(rng):
         assert model.n_dropped == 3
 
 
+@pytest.mark.parametrize("rank", [12, 4, 1])  # full-rank and rank-deficient PSD kernels
+def test_rank1_deflation_matches_dense_projection(rng, rank):
+    """``_deflate`` equals ``P K P`` with ``P = I - w w^T`` within 1e-12 of
+    ``|K|``, step after step over several components: orthonormal directions,
+    and the scores ``_kernel_scores`` itself takes from the deflated kernels."""
+    d = 12
+    a = rng.normal(size=(d, rank))
+    k0 = a @ a.T
+    scale = np.linalg.norm(k0)
+    directions = list(np.linalg.qr(rng.normal(size=(d, d)))[0].T[:6])
+    scores, _, _ = pls._kernel_scores(k0, k0, min(rank, 5), np.sqrt(np.trace(k0)))
+    for omegas in (directions, scores):
+        dense, rank1 = k0, k0
+        for omega in omegas:
+            proj = np.eye(d) - np.outer(omega, omega)
+            dense = proj @ dense @ proj
+            rank1 = pls._deflate(rank1, omega, omega @ rank1)
+            assert np.abs(rank1 - dense).max() <= 1e-12 * scale
+            assert np.array_equal(rank1, rank1.T)
+
+
 def test_power_iteration_warns_only_when_the_restart_hits_the_cap(monkeypatch):
     kz, ky = np.diag([0.0, 2.0, 1.0]), np.eye(3)
     with warnings.catch_warnings():
