@@ -51,6 +51,7 @@ from .controller import (
     build_model_bank,
     evaluate_days,
     predictive_plan_to_json,
+    validate_windows,
 )
 from .delay import SCENARIOS, IntersectionConfig, report_document
 from .synth import SynthConfig, generate
@@ -266,15 +267,15 @@ def cmd_predict(args) -> int:
 def cmd_segment(args) -> int:
     ds = _load_input(args)
     fit_cfg = FitConfig(overflow_penalty=args.overflow_penalty)
-    out, mhash = _start_run(args, {"input": str(args.input), "date": args.date or ""},
-                            {"segmentation": {"segments": args.segments,
-                                              "overflow_penalty": args.overflow_penalty}})
     if args.date:
         profile = ds.day_grid(ds.day_index(args.date))
     else:
         profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
     plan = optimal_segmentation(profile, args.segments, fit_cfg,
                                 interval_minutes=ds.interval_minutes)
+    out, mhash = _start_run(args, {"input": str(args.input), "date": args.date or ""},
+                            {"segmentation": {"segments": args.segments,
+                                              "overflow_penalty": args.overflow_penalty}})
     plan_to_json(plan, out / "plan.json", manifest_hash=mhash,
                  movements=list(ds.movements))
     times = ", ".join(str(t) for t in plan.switch_times)
@@ -370,10 +371,16 @@ def cmd_control(args) -> int:
         if plan.interval_minutes not in (None, ds.interval_minutes):
             raise ValidationError(f"plan has {plan.interval_minutes}-minute intervals, "
                                   f"the data {ds.interval_minutes}-minute ones")
+        if plan.n_intervals != ds.intervals_per_day:
+            raise ValidationError(f"plan has {plan.n_intervals} intervals per day, "
+                                  f"the data {ds.intervals_per_day}")
     else:
         profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
         plan = optimal_segmentation(profile, args.segments, fit_cfg,
                                     interval_minutes=ds.interval_minutes)
+    # The plan and the date are checked before the run writes anything.
+    validate_windows(plan, ctrl_cfg.window_halfwidth)
+    indices = list(range(ds.n_days)) if args.date == "all" else [ds.day_index(args.date)]
 
     out, mhash = _start_run(
         args, {"input": str(args.input), "plan": args.plan or "", "date": args.date},
@@ -388,7 +395,6 @@ def cmd_control(args) -> int:
                      movements=list(ds.movements))
 
     bank = _bank_for(ds, plan, ctrl_cfg, args.n_components, out / "cache")
-    indices = list(range(ds.n_days)) if args.date == "all" else [ds.day_index(args.date)]
     results = evaluate_days(ds, indices, plan, bank, ctrl_cfg, fit_cfg, ic)
     if args.date != "all":
         ((report, *plans),) = results

@@ -10,6 +10,20 @@ breakpoint intervals of the sorted window.  Day-level plans with a fixed
 number of periods are globally optimal by dynamic programming over period
 end times.
 
+The dynamic program reads a table of every window's cost.  ``cost_table``
+builds it one movement at a time in O(T^2) working memory: the column is
+sorted once, and (T+1) x (T+1) prefix tables of count and sum over (time,
+global rank) give each window's count and sum below any rank.  The
+minimizer is an expectile of level p / (1 + p) (Newey and Powell 1987), so
+it depends only on those counts and sums, and one vectorized binary search
+over global ranks finds it for every window at once.  Each window's cost is
+then summed directly over its values.  The prefix sums round differently
+from ``segment_cost``'s per-window sums, so an entry may differ from it by
+the bound E of ``_cost_bound`` (about 1e-15 relative in practice, and not at
+all on integer grids).  ``optimal_segmentation`` recomputes with
+``segment_cost``'s arithmetic every entry that could decide its plan, so each
+plan is exactly the plan of the exact table.
+
 Time indices are 1-based and inclusive throughout; flow arrays are (T, M)
 grids with row ``t-1`` holding interval ``t``.
 """
@@ -24,13 +38,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import artifact
-
-# Grid values per batch of windows in ``cost_table``: enough to amortize
-# numpy's per-call overhead, few enough that the kernel's temporaries stay in
-# a 2 MiB L2 cache (on a 2-core x86_64, a T=288, M=12 table took 1.3 s at
-# 1 << 15 and 2.2 s at 1 << 16).
-_CHUNK_ELEMENTS = 1 << 15
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -143,6 +150,19 @@ def fit_value(x: np.ndarray, t_a: int, t_b: int, mu: np.ndarray,
     return float(np.sum(w * diff * diff))
 
 
+def _fit_cost(windows: np.ndarray, mu: np.ndarray, penalty: float) -> np.ndarray:
+    """Asymmetric fit of ``mu`` (shape ``windows.shape[:-1]``) to the values
+    along the last axis of ``windows``: weighted squares ``w * diff * diff``,
+    w = penalty above mu and 1 below, summed along that axis.  As penalty >=
+    1, ``w * diff`` is the larger of ``diff`` and ``penalty * diff``, with
+    the bits of ``fit_value``'s product."""
+    diff = windows - mu[..., None]
+    sq = diff * penalty
+    np.maximum(sq, diff, out=sq)
+    sq *= diff
+    return np.sum(sq, axis=-1)
+
+
 def _window_cost(windows: np.ndarray, penalty: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-movement minimum of the asymmetric fit over a batch of windows.
 
@@ -173,12 +193,7 @@ def _window_cost(windows: np.ndarray, penalty: float) -> tuple[np.ndarray, np.nd
     mu = np.take_along_axis(cand, pick, axis=-1)[..., 0]
     lo = np.take_along_axis(vals, np.maximum(pick - 1, 0), axis=-1)[..., 0]
     np.copyto(mu, lo, where=(pick[..., 0] > 0) & (mu < lo))
-    # Weighted squares w * diff * diff, w = penalty above mu and 1 below.
-    diff = np.subtract(windows, mu[..., None], out=vals)
-    sq = diff.copy()
-    np.multiply(sq, penalty, out=sq, where=diff > 0)
-    sq *= diff
-    return np.sum(sq, axis=-1), mu
+    return _fit_cost(windows, mu, penalty), mu
 
 
 def segment_cost(x: np.ndarray, t_a: int, t_b: int,
@@ -198,25 +213,199 @@ def segment_cost(x: np.ndarray, t_a: int, t_b: int,
     return float(costs[0].sum()), mu[0]
 
 
-def cost_table(x: np.ndarray, cfg: FitConfig) -> np.ndarray:
-    """Precompute ``segment_cost`` for every window: entry [a, b] (1-based).
+def _exact_windows(rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                   penalty: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_window_cost`` of the windows (0-based start, length) of the
+    C-contiguous (M, T) grid ``rows``, batched by length: (cost, mu), both
+    (B, M), with ``segment_cost``'s bits."""
+    cost = np.empty((len(starts), rows.shape[0]))
+    mu = np.empty_like(cost)
+    for n in np.unique(lengths):
+        pick = np.flatnonzero(lengths == n)
+        windows = sliding_window_view(rows, n, axis=1)[:, starts[pick]].transpose(1, 0, 2)
+        cost[pick], mu[pick] = _window_cost(np.ascontiguousarray(windows), penalty)
+    return cost, mu
 
-    Windows of one length are scored together, in batches of about
-    ``_CHUNK_ELEMENTS`` grid values, so working memory stays bounded.
+
+def _windows(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(length, 0-based start) of every window of a T-interval day, ordered
+    by length and then by start."""
+    lengths = np.repeat(np.arange(1, t + 1), np.arange(t, 0, -1))
+    return lengths, np.concatenate([np.arange(t - n + 1) for n in range(1, t + 1)])
+
+
+def _window_minimizers(col: np.ndarray, lengths: np.ndarray, starts: np.ndarray,
+                       penalty: float) -> np.ndarray:
+    """Minimizer of the asymmetric fit of one movement's contiguous column
+    over every window of ``_windows``, by one binary search over the
+    column's global ranks.
+
+    With ``xs`` the sorted column, the candidate at rank k is
+    ``_window_cost``'s candidate for the window's values of rank below k.
+    It is at or below ``xs[k]`` exactly when the fit's derivative at
+    ``xs[k]`` is >= 0, which is monotone in k.  So the smallest such k
+    brackets ``_window_cost``'s pick, its first candidate at or below its
+    bracket's top, and that candidate is clipped up to ``xs[k-1]``: the
+    bracket's bottom, or a value the candidate already exceeds.  Rounding
+    can flip the test only where a candidate lies within rounding of the
+    value it is tested against, and then ``_window_cost``'s own scan may
+    flip too.  A window whose candidate at k or at k-1 lies that close is
+    handed to ``_window_cost``, so where the sums are exact (a grid of
+    small integers) every minimizer is ``_window_cost``'s to the bit.
+    """
+    t = len(col)
+    order = np.argsort(col, kind="stable")
+    xs = np.append(col[order], np.inf)
+    # counts[i, k], sums[i, k]: intervals before row i whose global rank is
+    # below k, and the sum of their values.
+    counts = np.zeros((t + 1, t + 1))
+    counts[order + 1, np.arange(1, t + 1)] = 1.0
+    sums = np.zeros((t + 1, t + 1))
+    sums[order + 1, np.arange(1, t + 1)] = col[order]
+    for prefix in (counts, sums):
+        np.cumsum(prefix, axis=1, out=prefix)
+        np.cumsum(prefix, axis=0, out=prefix)
+    counts, sums = counts.ravel(), sums.ravel()
+    top = (starts + lengths) * (t + 1)
+    bottom = starts * (t + 1)
+    n = lengths.astype(float)
+    total = sums[top + t] - sums[bottom + t]
+
+    def candidate(k):
+        j = counts[top + k] - counts[bottom + k]
+        below = sums[top + k] - sums[bottom + k]
+        cand = total - below
+        cand *= penalty
+        cand += below
+        cand /= j + penalty * (n - j)
+        return cand
+
+    lo = np.zeros(len(lengths), dtype=np.intp)
+    hi = np.full(len(lengths), t, dtype=np.intp)  # xs[t] = inf: rank t always qualifies
+    for _ in range(t.bit_length()):
+        mid = (lo + hi) >> 1
+        ok = candidate(mid) <= xs[mid]
+        np.copyto(hi, mid, where=ok)
+        np.copyto(lo, mid + 1, where=~ok)
+    mu = candidate(lo)
+    prev = np.maximum(lo - 1, 0)
+    floor = xs[prev]
+    near = 4 * (penalty + 1) * np.finfo(float).eps * np.max(np.abs(col))
+    unsure = np.abs(mu - xs[lo]) < near
+    unsure |= (lo > 0) & (np.abs(candidate(prev) - floor) < near)
+    np.copyto(mu, floor, where=(lo > 0) & (mu < floor))
+    _, exact = _exact_windows(col[None], starts[unsure], lengths[unsure], penalty)
+    mu[unsure] = exact[:, 0]
+    return mu
+
+
+def cost_table(x: np.ndarray, cfg: FitConfig) -> np.ndarray:
+    """``segment_cost`` of every window, up to rounding: entry [a, b]
+    (1-based), inf where b < a.
+
+    One movement at a time: ``_window_minimizers`` finds every window's
+    minimizer from the column's rank prefix sums, and the window's cost is
+    summed directly over its values, as ``_window_cost`` sums it.  The
+    movement costs of a window are summed as ``segment_cost`` sums them.
+    Working memory is O(T^2) per movement plus the T(T+1)/2 x M movement
+    costs.  An entry lies within ``_cost_bound`` of ``segment_cost``; on a
+    grid of small integers both sums are exact and the entries equal it.
     """
     x = _check_grid(x)
     t, m = x.shape
+    penalty = cfg.overflow_penalty
+    lengths, starts = _windows(t)
+    per_movement = np.empty((len(lengths), m))
+    for j in range(m):
+        col = np.concatenate([x[:, j], np.zeros(t)])
+        mu = _window_minimizers(col[:t], lengths, starts, penalty)
+        rows = sliding_window_view(col, t)  # rows[a, :n]: the n intervals from row a
+        done = 0
+        for n in range(1, t + 1):
+            span = slice(done, done + t - n + 1)
+            per_movement[span, j] = _fit_cost(rows[: t - n + 1, :n], mu[span], penalty)
+            done = span.stop
     table = np.full((t + 1, t + 1), np.inf)
-    for n in range(1, t + 1):
-        # (T - n + 1, M, n) view: starts[a, m] is movement m over rows a .. a+n-1.
-        starts = sliding_window_view(x.T, n, axis=1).transpose(1, 0, 2)
-        step = max(1, _CHUNK_ELEMENTS // max(1, m * n))
-        for a0 in range(0, t - n + 1, step):
-            batch = np.ascontiguousarray(starts[a0 : a0 + step])
-            costs, _ = _window_cost(batch, cfg.overflow_penalty)
-            a = np.arange(a0 + 1, a0 + 1 + len(batch))
-            table[a, a + n - 1] = costs.sum(axis=-1)
+    table[starts + 1, starts + lengths] = per_movement.sum(axis=-1)
     return table
+
+
+def _cost_bound(x: np.ndarray, table: np.ndarray, penalty: float) -> np.ndarray:
+    """Bound E on ``|table[a, b] - segment_cost(x, a, b)[0]|`` for a
+    ``cost_table`` of ``x``, to first order in eps; 0 off the windows.
+
+    With n = b - a + 1, p the penalty, X_m the largest |value| of movement
+    m and c the entry::
+
+        E = (n + M + 4) eps c + sum_m p n D_m^2,
+        D_m = (p + 1) (2p + 1) (T + 1)^2 eps X_m / n.
+
+    D_m bounds how far either route's parameter lies from the exact
+    minimizer.  A prefix sum adds at most T values of size X_m, so it is off
+    by at most T^2 X_m eps / 2.  A candidate's numerator holds four of them
+    at weight p and two at weight 1, and its denominator j + p (n - j) is
+    at least n, which gives (2p + 1) (T + 1)^2 eps X_m / n; ``_window_cost``
+    sums n values and stays within that.  Where rounding moves the pick across a breakpoint,
+    the derivative there is within the candidate's error times 2pn, and
+    the fit's curvature of at least 2n adds the factor p + 1.  The fit is
+    convex with curvature at most 2pn, so a parameter D_m from the
+    minimizer costs at most p n D_m^2: the second term.  The first covers
+    the rounding of the costs summed from that point: n + 3 roundings in
+    each movement's sum, M - 1 in the sum over movements, on both routes.
+    """
+    t, m = x.shape
+    eps = np.finfo(float).eps
+    a, b = np.triu_indices(t + 1)
+    a, b = a[a > 0], b[a > 0]
+    n = b - a + 1
+    reach = (penalty + 1) * (2 * penalty + 1) * (t + 1) ** 2 * eps
+    spread = penalty * reach ** 2 * np.sum(np.max(np.abs(x), axis=0) ** 2)
+    bound = np.zeros(table.shape)
+    bound[a, b] = (n + m + 4) * eps * table[a, b] + spread / n
+    return bound
+
+
+def _suffix_dp(table: np.ndarray, n_periods: int) -> tuple[np.ndarray, list[int]]:
+    """Dynamic program over suffixes on ``table``.  Returns ``best``, where
+    ``best[k, a]`` is the optimal cost of covering [a, T] with k periods,
+    and the period bounds ``[0, tau_1, ..., T]`` of the optimal plan."""
+    t = table.shape[0] - 1
+    # end[k, a] is the smallest end of the first period that attains best[k, a].
+    best = np.full((n_periods + 1, t + 2), np.inf)
+    end = np.zeros((n_periods + 1, t + 2), dtype=int)
+    best[1, 1 : t + 1] = table[1 : t + 1, t]
+    for k in range(2, n_periods + 1):
+        last = t - k + 1  # latest end that leaves k - 1 periods
+        totals = table[1 : last + 1, 1 : last + 1] + best[k - 1, 2 : last + 2]
+        totals[np.tri(last, k=-1, dtype=bool)] = np.inf  # ends before their start
+        end[k, 1 : last + 1] = totals.argmin(axis=1) + 1
+        best[k, 1 : last + 1] = totals.min(axis=1)
+    bounds = [0]
+    for k in range(n_periods, 1, -1):
+        bounds.append(int(end[k, bounds[-1] + 1]))
+    bounds.append(t)
+    return best, bounds
+
+
+def _near_best_windows(table: np.ndarray, best: np.ndarray,
+                       margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Windows (a, b) whose total lies within ``margin`` of the best of a
+    state reachable from the plan's first state through such windows."""
+    t = table.shape[0] - 1
+    starts, ends = [], []
+    frontier = np.array([1])
+    for k in range(best.shape[0] - 1, 1, -1):
+        last = t - k + 1
+        e = np.arange(1, last + 1)
+        totals = table[frontier[:, None], e] + best[k - 1, e + 1]
+        totals[e < frontier[:, None]] = np.inf
+        row, col = np.nonzero(totals <= best[k, frontier, None] + margin)
+        starts.append(frontier[row])
+        ends.append(e[col])
+        frontier = np.unique(e[col] + 1)
+    starts.append(frontier)
+    ends.append(np.full(len(frontier), t))
+    return np.concatenate(starts), np.concatenate(ends)
 
 
 def optimal_segmentation(x: np.ndarray, n_periods: int, cfg: FitConfig,
@@ -227,31 +416,44 @@ def optimal_segmentation(x: np.ndarray, n_periods: int, cfg: FitConfig,
     Dynamic programming over suffixes, recording each state's first optimal
     period end, so cost ties are broken toward the earliest switch times (the
     lexicographically smallest switch vector).  A precomputed ``cost_table``
-    may be passed to amortize repeated calls with different period counts.
+    of ``x`` may be passed to amortize repeated calls with different period
+    counts; it is not modified.
+
+    The plan is the one the exact table (every entry ``segment_cost``'s)
+    gives.  With S periods, E' the largest ``_cost_bound`` plus eps times
+    the largest entry (the rounding of one addition of the program), every
+    state's best on the table lies within k E' of its exact value at k
+    periods.  So a window whose total lies more than 3 S E' above its
+    state's best cannot win that state on any table whose entries are each
+    within E of exact, and the exact winner, with every window tied with it,
+    lies within that margin.  The program runs on the table, the windows
+    within the margin of states reachable from the first state through such
+    windows are recomputed with ``_window_cost``, batched by length, and the
+    program runs again: each state it walks then takes the exact value and
+    the exact first winner.
     """
     x = _check_grid(x)
     t = x.shape[0]
+    if not isinstance(n_periods, Integral) or isinstance(n_periods, bool):
+        raise ValueError(f"n_periods must be an integer, got {n_periods!r}")
     if not (1 <= n_periods <= t):
         raise ValueError(f"n_periods={n_periods} outside [1, {t}]")
     if costs is None:
         costs = cost_table(x, cfg)
+    elif np.shape(costs) != (t + 1, t + 1):
+        raise ValueError(f"cost table of shape {np.shape(costs)} does not fit a grid "
+                         f"of {t} intervals, whose table has shape {(t + 1, t + 1)}")
+    table = np.array(costs, dtype=float)
+    best, _ = _suffix_dp(table, n_periods)
+    finite = table[np.isfinite(table)]
+    slack = (_cost_bound(x, table, cfg.overflow_penalty).max()
+             + np.finfo(float).eps * finite.max(initial=0.0))
+    a, b = _near_best_windows(table, best, 3 * n_periods * slack)
+    exact, _ = _exact_windows(np.ascontiguousarray(x.T), a - 1, b - a + 1,
+                              cfg.overflow_penalty)
+    table[a, b] = exact.sum(axis=-1)
+    _, bounds = _suffix_dp(table, n_periods)
 
-    # best[k, a] = optimal cost of covering [a, T] with k periods, and
-    # end[k, a] the smallest end of its first period that attains it.
-    best = np.full((n_periods + 1, t + 2), np.inf)
-    end = np.zeros((n_periods + 1, t + 2), dtype=int)
-    best[1, 1 : t + 1] = costs[1 : t + 1, t]
-    for k in range(2, n_periods + 1):
-        last = t - k + 1  # latest end that leaves k - 1 periods
-        totals = costs[1 : last + 1, 1 : last + 1] + best[k - 1, 2 : last + 2]
-        totals[np.tri(last, k=-1, dtype=bool)] = np.inf  # ends before their start
-        end[k, 1 : last + 1] = totals.argmin(axis=1) + 1
-        best[k, 1 : last + 1] = totals.min(axis=1)
-
-    bounds = [0]
-    for k in range(n_periods, 1, -1):
-        bounds.append(int(end[k, bounds[-1] + 1]))
-    bounds.append(t)
     fits = [segment_cost(x, lo + 1, hi, cfg) for lo, hi in zip(bounds, bounds[1:])]
     return SegmentationPlan(
         n_periods=n_periods,

@@ -217,10 +217,13 @@ def window_cost(window: np.ndarray, penalty: float) -> tuple[np.ndarray, np.ndar
 
 
 def per_window_cost_table(x, cfg):
-    """The cost table one window at a time: the parity reference for
-    ``segmentation.cost_table``.  The grid is taken in column-major order, so
-    each movement's window is contiguous and numpy sums it pairwise, the
-    summation order the batched kernel uses for every layout."""
+    """The exact cost table, one window at a time with ``segment_cost``'s
+    arithmetic: the reference for ``segmentation.cost_table``, whose entries
+    lie within ``segmentation._cost_bound`` of it and equal it on integer
+    grids, and for ``optimal_segmentation``, whose plans are the dynamic
+    program's on it.  The grid is taken in column-major order, so each
+    movement's window is contiguous and numpy sums it pairwise, the
+    summation order ``segment_cost`` uses for every layout."""
     x = np.asfortranarray(x, dtype=float)
     t = x.shape[0]
     table = np.full((t + 1, t + 1), np.inf)

@@ -400,6 +400,39 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
     assert err.startswith("error:") and "'n_periods'" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("extra", [
+    ["control", "--segments", "7", "--window", "3"],  # switch windows overlap
+    ["control", "--segments", "3", "--window", "1", "--date", "2099-01-01"],
+    ["control", "--segments", "3", "--window", "1", "--date", "2099-01-01", "--plan", "PLAN"],
+    ["control", "--plan", "PLAN", "--window", "20"],
+    ["segment", "--segments", "500"],
+    ["segment", "--date", "2099-01-01"],
+])
+def test_failed_run_writes_nothing(extra, dataset_dir, tmp_path, capsys):
+    seg = tmp_path / "seg"
+    assert main(["segment", "--input", str(dataset_dir / "flows.csv"),
+                 "--segments", "3", "--out-dir", str(seg)]) == 0
+    capsys.readouterr()
+    argv = [str(seg / "plan.json") if a == "PLAN" else a for a in extra]
+    out = tmp_path / "out"
+    rc = main([*argv, "--input", str(dataset_dir / "flows.csv"), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists() or not any(out.rglob("*"))
+
+
+def test_default_control_on_the_readme_data_exits_1_writing_nothing(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--seed", "7", "--out-dir", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "runs" / "ctl"
+    rc = main(["control", "--input", str(data / "flows.csv"), "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: switch windows overlap: taus 22 and 26 "
+                                       "with halfwidth 3\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value, named", [
     ("n_periods", None, "'n_periods' must be an integer"),
     ("switch_times", None, "'switch_times' must be a list"),
@@ -409,6 +442,7 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
     ("params", [[1.0, 2.0, 3.0, float("nan")], [1.0, 2.0, 3.0, 4.0]], "'params' must be"),
     ("interval_minutes", "15", "'interval_minutes' must be an integer"),
     ("interval_minutes", 30, "30-minute intervals"),
+    ("n_intervals", 48, "plan has 48 intervals per day, the data 24"),
 ])
 def test_bad_plan_exits_1(field, value, named, dataset_dir, tmp_path, capsys):
     seg = tmp_path / "seg"
@@ -424,6 +458,7 @@ def test_bad_plan_exits_1(field, value, named, dataset_dir, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err and err.count("\n") == 1
+    assert not (tmp_path / "ctl").exists()
 
 
 def test_a_warning_prints_as_one_line(dataset_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,11 +110,22 @@ def test_fit_value_quadratic_homogeneity(rng):
         assert scaled == pytest.approx(a * a * base, rel=1e-12)
 
 
+def within_bound(table, x, cfg, exact):
+    """Every window's entry lies within ``_cost_bound`` of ``exact``'s."""
+    bound = segmentation._cost_bound(x, table, cfg.overflow_penalty)
+    windows = np.isfinite(exact)
+    assert np.array_equal(np.isfinite(table), windows)
+    return bool(np.all(np.abs(table[windows] - exact[windows]) <= bound[windows]))
+
+
 def test_cost_table_matches_segment_cost(rng):
     x = rng.uniform(0, 20, size=(10, 2))
-    table = cost_table(x, CFG2)
+    ints = rng.integers(0, 5, size=(10, 2)).astype(float)
+    table, int_table = cost_table(x, CFG2), cost_table(ints, CFG2)
+    bound = segmentation._cost_bound(x, table, CFG2.overflow_penalty)
     for a, b in [(1, 1), (1, 10), (3, 7), (10, 10), (2, 9)]:
-        assert table[a, b] == segment_cost(x, a, b, CFG2)[0]
+        assert abs(table[a, b] - segment_cost(x, a, b, CFG2)[0]) <= bound[a, b]
+        assert int_table[a, b] == segment_cost(ints, a, b, CFG2)[0]  # exact sums
     assert np.isinf(table[5, 4])
 
 
@@ -122,11 +134,14 @@ def test_cost_is_independent_of_grid_layout(rng):
     layouts = (np.ascontiguousarray(x), np.asfortranarray(x))
     tables = [cost_table(g, CFG2) for g in layouts]
     assert np.array_equal(tables[0], tables[1])
+    exact = np.full(tables[0].shape, np.inf)
     for a in range(1, 97):
         for b in range(a, 97):
             (c_cost, c_mu), (f_cost, f_mu) = (segment_cost(g, a, b, CFG2) for g in layouts)
-            assert c_cost == f_cost == tables[0][a, b]
+            assert c_cost == f_cost
             assert np.array_equal(c_mu, f_mu)
+            exact[a, b] = c_cost
+    assert within_bound(tables[0], x, CFG2, exact)
 
 
 def bits(a):
@@ -151,14 +166,55 @@ def grids(draw):
 
 
 NEAR_TIE = 123456.789 + np.array([[-3.0], [-1.0], [0.0]]) * np.spacing(123456.789)
+# On this grid, with penalty 3 and two periods, the DP on ``cost_table`` alone
+# switches after interval 3 (exact cost 3.1613e-18); the exact table's plan
+# switches after 2 (3.1607e-18).
+NEAR_TIE_PLAN = 123456.789 + np.spacing(123456.789) * np.c_[[-34.0, -35.0, 77.0, -64.0]]
+PENALTIES = st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(1.0, 8.0))
 
 
-@given(grids(), st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(1.0, 8.0)))
+@given(grids(), PENALTIES)
 @example(NEAR_TIE, 3.0)  # window [1, 3]: the picked candidate is clipped into its bracket
+@example(NEAR_TIE_PLAN, 3.0)
 @settings(max_examples=150, deadline=None)
 def test_cost_table_matches_per_window_oracle(x, penalty):
+    """Every entry lies within the documented bound of the exact table, and
+    on integer grids, whose sums are exact, it is the exact entry's bits."""
     cfg = FitConfig(overflow_penalty=penalty)
-    assert np.array_equal(bits(cost_table(x, cfg)), bits(per_window_cost_table(x, cfg)))
+    table, exact = cost_table(x, cfg), per_window_cost_table(x, cfg)
+    t = x.shape[0]
+    assert all(exact[a, b] == segment_cost(x, a, b, cfg)[0]
+               for a in range(1, t + 1) for b in range(a, t + 1))
+    assert within_bound(table, x, cfg, exact)
+    if np.array_equal(x, np.round(x)):
+        assert np.array_equal(bits(table), bits(exact))
+
+
+@given(grids(), PENALTIES)
+@example(NEAR_TIE, 3.0)
+@example(NEAR_TIE_PLAN, 3.0)
+@settings(max_examples=150, deadline=None)
+def test_plan_is_the_plan_of_the_exact_table(x, penalty):
+    """Switch times, total cost and parameter bits equal those of the dynamic
+    program on the exact table, rescored with ``segment_cost``."""
+    cfg = FitConfig(overflow_penalty=penalty)
+    exact = per_window_cost_table(x, cfg)
+    table = cost_table(x, cfg)
+    for s in range(1, min(4, x.shape[0]) + 1):
+        plan = optimal_segmentation(x, s, cfg, costs=table)
+        _, bounds = segmentation._suffix_dp(exact, s)
+        fits = [segment_cost(x, lo + 1, hi, cfg) for lo, hi in zip(bounds, bounds[1:])]
+        assert plan.switch_times == tuple(bounds[1:-1])
+        assert plan.total_cost == sum(cost for cost, _ in fits)
+        assert np.array_equal(bits(plan.params), bits(np.vstack([mu for _, mu in fits])))
+
+
+def test_guard_decides_a_near_tied_plan():
+    cfg = FitConfig(overflow_penalty=3.0)
+    _, fast_only = segmentation._suffix_dp(cost_table(NEAR_TIE_PLAN, cfg), 2)
+    _, exact = segmentation._suffix_dp(per_window_cost_table(NEAR_TIE_PLAN, cfg), 2)
+    assert fast_only == [0, 3, 4] and exact == [0, 2, 4]
+    assert optimal_segmentation(NEAR_TIE_PLAN, 2, cfg).switch_times == (2,)
 
 
 def fit_cost(values, mu, penalty):
@@ -166,7 +222,7 @@ def fit_cost(values, mu, penalty):
     return float(np.sum(np.where(d > 0, penalty, 1.0) * d * d))
 
 
-@given(grids(), st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(1.0, 8.0)))
+@given(grids(), PENALTIES)
 @example(NEAR_TIE, 3.0)
 @settings(max_examples=150, deadline=None)
 def test_window_minimizer_is_in_range_and_beats_every_clipped_candidate(x, penalty):
@@ -197,24 +253,17 @@ def test_window_minimizer_is_in_range_and_beats_every_clipped_candidate(x, penal
                     assert costs[0, col] <= best * (1 + 1e-12) + rounding, (a, b, col, j)
 
 
-def test_cost_table_batches_stay_within_the_chunk_budget(rng, monkeypatch):
-    x = rng.uniform(0, 50, size=(30, 3))
-    whole = cost_table(x, CFG2)
-    kernel = segmentation._window_cost
-    sizes = []
-
-    def spy(windows, penalty):
-        sizes.append(windows.shape)
-        return kernel(windows, penalty)
-
-    monkeypatch.setattr(segmentation, "_window_cost", spy)
-    for budget in (1, 40, 500):
-        monkeypatch.setattr(segmentation, "_CHUNK_ELEMENTS", budget)
-        sizes.clear()
-        assert np.array_equal(bits(cost_table(x, CFG2)), bits(whole))
-        # one window per batch when a window alone exceeds the budget
-        assert all(b == 1 or b * m * n <= budget for b, m, n in sizes)
-        assert sum(b for b, _, _ in sizes) == 30 * 31 // 2
+def test_cost_table_memory_stays_small(rng):
+    """One movement at a time: a T=288, M=12 table peaks well below the
+    T(T+1)/2 x M x T values a batch of every window would hold."""
+    x = rng.uniform(0, 600, size=(288, 12))
+    tracemalloc.start()
+    try:
+        cost_table(x, CFG2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_single_period_plan(rng):
@@ -291,6 +340,18 @@ def test_plan_validation():
                          params=np.zeros((3, 2)), total_cost=0.0)
     with pytest.raises(ValueError):
         optimal_segmentation(np.ones((5, 1)), 6, CFG2)
+
+
+def test_optimal_segmentation_checks_its_inputs(rng):
+    x = rng.uniform(0, 50, size=(6, 2))
+    longer = cost_table(rng.uniform(0, 50, size=(8, 2)), CFG2)
+    with pytest.raises(ValueError, match=r"\(9, 9\).*\(7, 7\)"):
+        optimal_segmentation(x, 2, CFG2, costs=longer)
+    for bad in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match="n_periods must be an integer"):
+            optimal_segmentation(x, bad, CFG2)
+    plan = optimal_segmentation(x, np.int64(2), CFG2)
+    assert plan.switch_times == optimal_segmentation(x, 2, CFG2).switch_times
 
 
 def test_plan_json_round_trip(tmp_path, rng):
