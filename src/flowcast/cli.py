@@ -226,10 +226,6 @@ def cmd_predict(args) -> int:
     if bool(args.date) == bool(args.sample):
         raise ValidationError("predict needs exactly one of --date (holdout) and "
                               "--sample (external file)")
-    out, mhash = _start_run(
-        args, {"input": str(args.input), "sample": args.sample or "", "date": args.date or ""},
-        {"split": asdict(spec), "pls": {"n_components": args.n_components}})
-
     z_all, y_all = split_at(ds, spec)
     if args.date:
         idx = ds.day_index(args.date)
@@ -239,6 +235,10 @@ def cmd_predict(args) -> int:
     else:
         label, z_sample = load_sample(args.sample, ds, spec)
         z_train, y_train, actual = z_all, y_all, None
+    # The sample and the date are read before the run writes anything.
+    out, mhash = _start_run(
+        args, {"input": str(args.input), "sample": args.sample or "", "date": args.date or ""},
+        {"split": asdict(spec), "pls": {"n_components": args.n_components}})
     model = fit_pls_kernel(z_train, y_train, args.n_components, split=spec)
     y_hat = predict(model, z_sample)
     y_mean = y_train.mean(axis=0)

@@ -4,12 +4,30 @@ A dataset holds one row per day.  Each row concatenates per-movement blocks of
 length T (the number of intervals per day), i.e. column ``m * T + t`` is the
 flow of movement ``m`` during interval ``t + 1``.  Flows are vehicles per hour
 averaged over one recording interval.
+
+CSV ingest has two readers.  A row-wise one owns every error message.  The
+other, numpy's C reader ``np.loadtxt``, reads a block of lines at once, and
+takes a block only where it cannot be more permissive than the row-wise one:
+
+- every line is printable ASCII without a quote, but for its end: numpy ``S``
+  fields drop a trailing NUL, ``loadtxt`` keeps quotes, and ``str.strip``
+  then removes only spaces;
+- no line is longer than ``csv.field_size_limit()``, which ``loadtxt`` does
+  not enforce, or than 256, which bounds the movement field's width;
+- ``loadtxt`` returns one row per line (it skips blank lines);
+- every row passes every check, with each date field as it stands: a valid
+  date has no spaces to strip, and its ``S11`` field did not cut it.
+
+A block where ``loadtxt`` is stricter than ``int`` or ``float`` (``1_0``, a
+20-digit interval) is read row-wise, to the same rows.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -236,317 +254,178 @@ class SplitSpec:
         return (self.predict_to - self.predict_from + 1) // self.predicted_stride
 
 
-# Lines tokenized at a time by ``_parse_rows``.  The file is read as bytes,
-# ``_BLOCK_LINES << 6`` at a time (more when a line is longer), and each
-# block's line ends, commas and plain lines are found with numpy.  Python
-# objects exist only for a block's distinct dates, movements and interval
-# indices, its flows (one float each) and the few lines that are not plain.
-# Each block's valid rows go into the cell grid, one row of intervals per
-# (date, movement) pair they hold, so the parser's memory follows the grid
-# (a float and a flag per cell, at most one grid row per CSV row) plus one
-# block's rows, not the file's text.
+# Lines read at a time after the header.  Each block's rows go straight into
+# the cell grid, so the parser's memory follows the grid (a float and a flag
+# per cell, at most one grid row per CSV row) plus one block's rows.
 _BLOCK_LINES = 1 << 14
-# The longest line taken as plain, so a block's fixed-width field arrays stay
-# below ``_BLOCK_LINES * _PLAIN_BYTES`` bytes each; a longer line is decoded.
-_PLAIN_BYTES = 256
+# The bytes of a plain line: printable ASCII but the quote, and line ends.
+_PLAIN = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
 
 
-def _parsed(parse, text):
-    """``parse(text)``, or the ``ValueError`` it raises."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        return exc
-
-
-def _movement_label(label: str) -> str:
-    if not label:
-        raise ValueError("empty movement label")
-    return label
-
-
-class _Column:
-    """One text column's distinct stripped values, each parsed once; each
-    distinct raw value is stripped once."""
-
-    def __init__(self, parse) -> None:
-        self.parse = parse
-        self.values: list[str] = []
-        self.parsed: list = []          # parse(value), or its ValueError
-        self.failed: list[bool] = []
-        self._code: dict[str, int] = {}      # stripped value -> index
-        self._raw_code: dict[str, int] = {}  # raw value -> index
-
-    def codes(self, raw: list[str]) -> np.ndarray:
-        """The index of each raw value's stripped form, adding new values."""
-        for text in dict.fromkeys(raw):
-            if text in self._raw_code:
-                continue
-            value = text.strip()
-            if value not in self._code:
-                self._code[value] = len(self.values)
-                self.values.append(value)
-                self.parsed.append(_parsed(self.parse, value))
-                self.failed.append(isinstance(self.parsed[-1], ValueError))
-            self._raw_code[text] = self._code[value]
-        return np.fromiter(map(self._raw_code.__getitem__, raw), np.intp, len(raw))
-
-    def cell_codes(self, cells: np.ndarray) -> np.ndarray:
-        """``codes`` of fixed-width ASCII cells: only the distinct cells (run
-        heads, then ``np.unique``) are decoded."""
-        if not len(cells):
-            return np.empty(0, np.intp)
-        keys = cells.view(np.uint64) if cells.itemsize == 8 else cells
-        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        distinct, inverse = np.unique(keys[heads], return_inverse=True)
-        codes = self.codes([v.decode("ascii") for v in distinct.view(cells.dtype).tolist()])
-        return np.repeat(codes[inverse], np.diff(heads, append=len(cells)))
-
-
-def _csv_fields(line: str) -> list[str] | csv.Error:
-    try:
-        return next(csv.reader([line]))
-    except csv.Error as exc:
-        return exc
-
-
-def _floats(texts: list) -> tuple[np.ndarray, np.ndarray]:
-    """``float`` of each text (``str`` or ASCII ``bytes``, which it reads
-    alike), with 0.0 and a set flag where it raises."""
-    try:
-        return np.fromiter(map(float, texts), float, len(texts)), np.zeros(len(texts), bool)
-    except ValueError:
-        parsed = [_parsed(float, text) for text in texts]
-        bad = np.array([isinstance(v, ValueError) for v in parsed], dtype=bool)
-        return np.array([0.0 if x else v for v, x in zip(parsed, bad)], dtype=float), bad
-
-
-def _line_blocks(fh):
-    """Yield a binary file as blocks of up to ``_BLOCK_LINES`` lines: the
-    block's bytes and the offset just past each line.  A line ends at \\n,
-    \\r\\n or a lone \\r, as a text-mode file with ``newline=""`` reads it."""
-    rest = b""
-    while True:
-        data = fh.read(max(_BLOCK_LINES << 6, len(rest)))
-        buf = rest + data
-        b = np.frombuffer(buf, np.uint8)
-        ends = np.flatnonzero(b == 10) + 1
-        cr = np.flatnonzero(b == 13)
-        lone = cr[b[np.minimum(cr + 1, len(b) - 1)] != 10]
-        if len(lone):
-            ends = np.sort(np.concatenate((ends, lone + 1)))
-        if data:
-            # A \r last in the buffer may begin a \r\n.  The lines after
-            # the last whole block wait for the next read.
-            ends = ends[ends < len(buf)]
-            ends = ends[:len(ends) - len(ends) % _BLOCK_LINES]
-        elif len(buf) > (ends[-1] if len(ends) else 0):
-            ends = np.append(ends, len(buf))   # a last line without a terminator
-        start = 0
-        for i in range(0, len(ends), _BLOCK_LINES):
-            block = ends[i:i + _BLOCK_LINES]
-            yield buf[start:block[-1]], block - start
-            start = int(block[-1])
-        if not data:
-            return
-        rest = buf[start:]
-
-
-def _tokenize(b: np.ndarray, ends: np.ndarray):
-    """Per line of a block: content start and stop (terminator dropped), the
-    index of its first comma in the block's comma offsets, those offsets,
-    and masks of plain and of blank-or-comment lines.
-
-    A plain line is printable ASCII with no quote, no space at either edge,
-    exactly three commas and at most ``csv.field_size_limit()`` characters:
-    ``str.strip`` leaves it as it is, and the csv module splits it at its
-    commas.  A comment here is such a line starting with ``#``; every line
-    that is neither plain, blank nor such a comment is decoded.
-    """
-    starts = np.concatenate(([0], ends[:-1]))
-    last = b[ends - 1]
-    stops = ends - ((last == 10) | (last == 13))
-    stops -= (last == 10) & (stops > starts) & (b[stops - 1] == 13)
-    # Per line, the count of commas and of odd bytes (a quote, or outside
-    # 32..126, where b - 32 wraps) up to its end; no comma is in a
-    # terminator, and every terminator byte is odd.
-    commas = np.flatnonzero(b == 44)
-    upto = np.searchsorted(commas, ends)
-    first = np.concatenate(([0], upto[:-1]))
-    odd = np.searchsorted(np.flatnonzero(((b - 32) > 94) | (b == 34)), ends)
-    clean = ((np.diff(odd, prepend=0) == ends - stops)
-             & (stops > starts) & (b[starts] != 32) & (b[stops - 1] != 32))
-    comment = clean & (b[starts] == 35)
-    plain = (clean & ~comment & (upto - first == 3)
-             & (stops - starts <= min(csv.field_size_limit(), _PLAIN_BYTES)))
-    return starts, stops, first, commas, plain, comment | (stops == starts)
-
-
-def _cells(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The byte ranges ``[lo, hi)`` of ``b`` as a fixed-width bytes array,
-    zero-padded to 8 bytes or more (8-byte cells compare as ``uint64``)."""
-    width = max(int((hi - lo).max(initial=0)), 8)
-    padded = np.concatenate((b, np.zeros(width, np.uint8)))
-    cells = np.lib.stride_tricks.sliding_window_view(padded, width)[lo]
-    cells *= np.arange(width) < (hi - lo)[:, None]
-    return cells.view(f"S{width}")[:, 0]
-
-
-def _decoded(raw: bytes, starts, stops, lines) -> tuple[dict[int, str], tuple | None]:
-    """Decode and strip each of ``lines``, in order, up to the first that is
-    not UTF-8.  Returns the text of each that is neither blank nor a comment,
-    and that first line's index and error message, if any."""
-    texts = {}
-    for i in lines.tolist():
-        try:
-            text = raw[starts[i]:stops[i]].decode("utf-8").strip()
+def _fields(line: str, lineno: int) -> list[str] | None:
+    """The stripped CSV fields of a line read with ``surrogateescape``, or
+    None for a blank or comment line."""
+    if not line.isascii():
+        try:   # decode the line's bytes, terminator dropped, to name the escaped ones
+            line.rstrip("\r\n").encode("utf-8", "surrogateescape").decode("utf-8")
         except UnicodeDecodeError as exc:
-            return texts, (i, f"not UTF-8: {exc}")
-        if text and text[0] != "#":
-            texts[i] = text
-    return texts, None
+            raise ValidationError(f"line {lineno}: not UTF-8: {exc}") from None
+    text = line.strip()
+    if not text or text[0] == "#":
+        return None
+    try:
+        return [f.strip() for f in next(csv.reader([text]))]
+    except csv.Error as exc:
+        raise ValidationError(f"line {lineno}: malformed CSV row: {exc}") from None
+
+
+def _row(fields: list[str], lineno: int, intervals_per_day: int):
+    """A data line's (date, movement) pair, 0-based interval and flow."""
+    try:
+        if len(fields) != 4:
+            raise ValueError(f"expected 4 fields, got {len(fields)}")
+        date, movement, interval, flow = fields
+        day_of_week_tag(date)
+        if not movement:
+            raise ValueError("empty movement label")
+        try:
+            k = int(interval)
+        except ValueError:
+            raise ValueError(f"bad interval_index {interval!r}") from None
+        if not 1 <= k <= intervals_per_day:
+            raise ValueError(f"interval_index {k} outside [1, {intervals_per_day}]")
+        try:
+            x = float(flow)
+        except ValueError:
+            raise ValueError(f"bad flow_vph {flow!r}") from None
+        if not math.isfinite(x):
+            raise ValueError("non-finite flow_vph")
+        if x < 0:
+            raise ValueError(f"negative flow_vph {flow}")
+    except ValueError as exc:
+        raise ValidationError(f"line {lineno}: {exc}") from None
+    return (date, movement), k - 1, x
+
+
+def _plain_rows(block: list[str], intervals_per_day: int):
+    """A block's rows as ``np.loadtxt`` reads them, in the form that
+    ``_Cells.fill`` takes, or None unless the block is plain and every row
+    valid (see ``_parse_rows``)."""
+    width = max(map(len, block))
+    text = "".join(block)
+    if (width > min(csv.field_size_limit(), 256) or not text.isascii()
+            or text.encode("ascii").translate(None, _PLAIN)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads an integer field such as 1.5 as a float with a
+            # DeprecationWarning, and a block of blank lines warns too.
+            warnings.simplefilter("error")
+            rows = np.loadtxt(block, delimiter=",", comments=None, ndmin=1, dtype=[
+                ("date", "S11"), ("movement", f"S{width}"), ("interval", "i8"), ("flow", "f8")])
+    except (ValueError, Warning):
+        return None
+    interval, flow = rows["interval"] - 1, rows["flow"]
+    if (len(rows) != len(block) or not ((0 <= interval) & (interval < intervals_per_day)).all()
+            or not ((0 <= flow) & (flow < np.inf)).all()):
+        return None
+    # Dates and movements are decoded once per run of rows that share both.
+    dates, movements = rows["date"], rows["movement"]
+    head = np.concatenate(([True], (dates[1:] != dates[:-1])
+                           | (movements[1:] != movements[:-1])))
+    held = [(d.decode(), m.decode().strip())
+            for d, m in zip(dates[head].tolist(), movements[head].tolist())]
+    try:
+        for date, movement in set(held):
+            if not movement:
+                return None
+            day_of_week_tag(date)
+    except ValidationError:
+        return None
+    return held, np.cumsum(head) - 1, interval, flow
+
+
+class _Cells:
+    """The grid row of each (date, movement) pair, and per grid row and
+    interval the flow (0.0 where no row is) and whether a row set it."""
+
+    def __init__(self, intervals_per_day: int) -> None:
+        self.pairs: dict[tuple[str, str], int] = {}
+        self.flow = np.zeros((0, intervals_per_day))
+        self.seen = np.zeros((0, intervals_per_day), bool)
+
+    def fill(self, held, which, interval, flow, linenos) -> None:
+        """Set the cell of row i, pair ``held[which[i]]`` and 0-based
+        ``interval[i]``, to ``flow[i]``.  The first row that repeats a cell,
+        set before or by an earlier row, raises naming ``linenos[i]``."""
+        # A pair takes the next grid row when first held; the grid doubles when full.
+        row = np.array([self.pairs.setdefault(p, len(self.pairs)) for p in held], np.intp)
+        if len(self.pairs) > len(self.flow):
+            grow = ((0, max(len(self.flow), len(self.pairs) - len(self.flow))), (0, 0))
+            self.flow, self.seen = np.pad(self.flow, grow), np.pad(self.seen, grow)
+        cell = row[which] * self.flow.shape[1] + interval
+        seen = self.seen.reshape(-1)
+        if seen[cell].any() or np.bincount(cell - cell.min()).max() > 1:
+            earlier = set()
+            for i, c in enumerate(cell.tolist()):
+                if seen[c] or c in earlier:
+                    date, movement = held[which[i]]
+                    raise ValidationError(f"line {linenos[i]}: duplicate entry for "
+                                          f"({date}, {movement}, {interval[i] + 1})")
+                earlier.add(c)
+        self.flow.reshape(-1)[cell] = flow
+        seen[cell] = True
+
+    def read_rowwise(self, block: list[str], first: int) -> None:
+        """Read a block a line at a time, its first line numbered ``first``:
+        fill the rows before its first offending line, then raise its error."""
+        rows, error = [], None
+        try:
+            for lineno, line in enumerate(block, first):
+                if (fields := _fields(line, lineno)) is not None:
+                    rows.append((*_row(fields, lineno, self.flow.shape[1]), lineno))
+        except ValidationError as exc:
+            error = exc
+        if rows:
+            held, interval, flow, linenos = zip(*rows)
+            self.fill(held, np.arange(len(rows)), np.array(interval), np.array(flow), linenos)
+        if error:
+            raise error
 
 
 def _parse_rows(path: Path, intervals_per_day: int
                 ) -> tuple[dict[tuple[str, str], int], np.ndarray, np.ndarray]:
-    """Parse and validate the long-format CSV into its cell grid, a block
-    of lines at a time: returns the grid row of each (date, movement) pair
-    the rows hold, and the (grid row, interval) grids ``flow`` (0.0 where
-    no row is) and ``seen``.
+    """Parse and validate the long-format CSV into its cell grid: returns the
+    grid row of each (date, movement) pair the rows hold, and the (grid row,
+    interval) grids ``flow`` (0.0 where no row is) and ``seen``.
 
-    Plain lines (see ``_tokenize``) are split and their fields cut out as
-    bytes; each other line is decoded, stripped and split by the csv
-    module, in line order.  A line that is not UTF-8 is an offending line.
-    Within a block each check runs over every row at once (dates, movements
-    and interval indices once per distinct value), and the error raised is
-    the one a row-by-row reader meets first: the earliest offending line,
-    and on it the first failing check in column order.  The rows before
-    that line fill the grid, where a cell set twice is a duplicate.
+    Read as text with ``surrogateescape``, a line that is not UTF-8 is an
+    offending line.  Lines up to the header go to the row-wise reader
+    (``_fields`` and ``_row``); the rest go in blocks of ``_BLOCK_LINES`` to
+    ``np.loadtxt`` where the module docstring's rule admits them, else to the
+    row-wise reader.  The error raised is the one a row-by-row reader meets
+    first: the earliest offending line's first failing check, raised once the
+    rows before that line fill the grid, where a cell set twice is a duplicate.
     """
-    dates, movements = _Column(day_of_week_tag), _Column(_movement_label)
-    intervals = _Column(int)
-    pairs: dict[tuple[str, str], int] = {}
-    grid, seen = np.zeros((0, intervals_per_day)), np.zeros((0, intervals_per_day), bool)
-    header_seen = False
-    first_lineno = 1
-    with open(path, "rb") as fh:
-        for raw, ends in _line_blocks(fh):
-            b = np.frombuffer(raw, np.uint8)
-            starts, stops, first, commas, keep, skip = _tokenize(b, ends)
-            texts, broken = _decoded(raw, starts, stops, np.flatnonzero(~(keep | skip)))
-            keep[list(texts)] = True
-            if broken:
-                keep[broken[0]:] = False
-            if not header_seen and keep.any():
-                h = int(np.argmax(keep))
-                line = texts.pop(h, None) or raw[starts[h]:stops[h]].decode("ascii")
-                header = _csv_fields(line)
-                if isinstance(header, csv.Error):
-                    raise ValidationError(f"line {h + first_lineno}: malformed CSV row: {header}")
-                if tuple(f.strip().lower() for f in header) != CSV_HEADER:
-                    raise ValidationError(f"line {h + first_lineno}: expected header "
-                                          f"{','.join(CSV_HEADER)!r}, got {line!r}")
-                header_seen = True
-                keep[h] = False
-            elif not header_seen and broken:
-                raise ValidationError(f"line {broken[0] + first_lineno}: {broken[1]}")
-
-            fields = {}   # the four fields of each kept other line
-            for i, text in texts.items():
-                parts = _csv_fields(text)
-                if isinstance(parts, csv.Error):
-                    broken = (i, f"malformed CSV row: {parts}")
-                elif len(parts) != 4:
-                    broken = (i, f"expected 4 fields, got {len(parts)}")
-                else:
-                    fields[i] = parts
-                    continue
-                keep[i:] = False
+    cells = _Cells(intervals_per_day)
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if (fields := _fields(line, lineno)) is not None:
                 break
-
-            rows = np.flatnonzero(keep)
-            n = len(rows)
-            plain = np.isin(rows, list(fields), invert=True)
-            other = [fields[i] for i in rows[~plain]]
-            lines = rows[plain]
-            c0 = commas[first[lines]]
-            c1, c2 = commas[first[lines] + 1], commas[first[lines] + 2]
-            columns = []
-            for column, lo, hi, k in ((dates, starts[lines], c0, 0),
-                                      (movements, c0 + 1, c1, 1),
-                                      (intervals, c1 + 1, c2, 2)):
-                codes = np.empty(n, np.intp)
-                codes[plain] = column.cell_codes(_cells(b, lo, hi))
-                codes[~plain] = column.codes([f[k] for f in other])
-                columns.append(codes)
-            day, movement, interval_code = columns
-            index = np.array([v - 1 if not bad and 1 <= v <= intervals_per_day else -1
-                              for v, bad in zip(intervals.parsed, intervals.failed)],
-                             dtype=np.int64)
-            interval = index[interval_code]
-            # float() ignores the spaces a plain field may have at its edges;
-            # another field may have characters str.strip removes and it does not.
-            flow, bad_flow = np.empty(n), np.empty(n, bool)
-            flow[plain], bad_flow[plain] = _floats(_cells(b, c2 + 1, stops[lines]).tolist())
-            flow[~plain], bad_flow[~plain] = _floats([f[3].strip() for f in other])
-
-            def flow_text(i):
-                line = rows[i]
-                if line in fields:
-                    return fields[line][3].strip()
-                return raw[commas[first[line] + 2] + 1:stops[line]].decode("ascii").strip()
-
-            bad_interval = np.array(intervals.failed, dtype=bool)[interval_code]
-            checks = (
-                (np.array(dates.failed, dtype=bool)[day],
-                 lambda i: str(dates.parsed[day[i]])),
-                (np.array(movements.failed, dtype=bool)[movement],
-                 lambda i: str(movements.parsed[movement[i]])),
-                (bad_interval,
-                 lambda i: f"bad interval_index {intervals.values[interval_code[i]]!r}"),
-                (~bad_interval & (interval < 0),
-                 lambda i: f"interval_index {intervals.parsed[interval_code[i]]} outside "
-                           f"[1, {intervals_per_day}]"),
-                (bad_flow, lambda i: f"bad flow_vph {flow_text(i)!r}"),
-                (~np.isfinite(flow), lambda i: "non-finite flow_vph"),
-                (flow < 0, lambda i: f"negative flow_vph {flow_text(i)}"),
-            )
-            bad = np.logical_or.reduce([mask for mask, _ in checks])
-            if bad.any():
-                n = int(np.argmax(bad))
-                describe = next(describe for mask, describe in checks if mask[n])
-                broken = (rows[n], describe(n))
-
-            # The n rows before the block's offending line are valid.  Each
-            # (date, movement) pair takes the next grid row when a valid row
-            # first holds it, and the grid doubles when full.  A row repeats a
-            # cell set by an earlier block or an earlier row here.
-            width = len(movements.values)
-            distinct, inverse = np.unique(day[:n] * width + movement[:n], return_inverse=True)
-            held = [(dates.values[k // width], movements.values[k % width])
-                    for k in distinct.tolist()]
-            row = np.array([pairs.setdefault(p, len(pairs)) for p in held], np.intp)[inverse]
-            if len(pairs) > len(grid):
-                grow = ((0, max(len(grid), len(pairs) - len(grid))), (0, 0))
-                grid, seen = np.pad(grid, grow), np.pad(seen, grow)
-            cell = row * intervals_per_day + interval[:n]
-            order = np.argsort(cell, kind="stable")
-            again = seen.reshape(-1)[cell]
-            again[order[1:]] |= cell[order[1:]] == cell[order[:-1]]
-            if again.any():
-                i = int(np.argmax(again))
-                raise ValidationError(
-                    f"line {rows[i] + first_lineno}: duplicate entry for "
-                    f"({dates.values[day[i]]}, {movements.values[movement[i]]}, "
-                    f"{interval[i] + 1})")
-            grid.reshape(-1)[cell] = flow[:n]
-            seen.reshape(-1)[cell] = True
-            if broken:
-                raise ValidationError(f"line {broken[0] + first_lineno}: {broken[1]}")
-            first_lineno += len(ends)
-    if not header_seen:
-        raise ValidationError(f"{path}: empty file (missing header)")
-    return pairs, grid[:len(pairs)], seen[:len(pairs)]
+        else:
+            raise ValidationError(f"{path}: empty file (missing header)")
+        if tuple(f.lower() for f in fields) != CSV_HEADER:
+            raise ValidationError(f"line {lineno}: expected header "
+                                  f"{','.join(CSV_HEADER)!r}, got {line.strip()!r}")
+        while block := list(itertools.islice(fh, _BLOCK_LINES)):
+            rows = _plain_rows(block, intervals_per_day)
+            if rows is None:
+                cells.read_rowwise(block, lineno + 1)
+            else:
+                cells.fill(*rows, range(lineno + 1, lineno + 1 + len(block)))
+            lineno += len(block)
+    n = len(cells.pairs)
+    return cells.pairs, cells.flow[:n], cells.seen[:n]
 
 
 def load_csv(

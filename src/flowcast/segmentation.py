@@ -475,9 +475,10 @@ def plan_to_json(plan: SegmentationPlan, path: str | Path | None = None,
 
 
 def plan_from_json(source: str | Path | dict) -> SegmentationPlan:
-    """Load a plan serialized by :func:`plan_to_json`."""
+    """Load a plan serialized by :func:`plan_to_json`.  Its parameters must
+    be non-negative, as every fitted plan's are."""
     doc = artifact.read(source, "segmentation_plan")
-    return SegmentationPlan(
+    plan = SegmentationPlan(
         n_periods=artifact.typed(doc, "n_periods", int, "an integer"),
         n_intervals=artifact.typed(doc, "n_intervals", int, "an integer"),
         switch_times=artifact.typed(doc, "switch_times", list, "a list"),
@@ -486,3 +487,9 @@ def plan_from_json(source: str | Path | dict) -> SegmentationPlan:
         interval_minutes=artifact.typed(doc, "interval_minutes", (int, type(None)),
                                         "an integer or null"),
     )
+    negative = np.argwhere(plan.params < 0)
+    if len(negative):
+        p, m = negative[0]
+        raise ValueError(f"plan parameter of period {p + 1}, movement {m + 1} "
+                         f"is negative: {float(plan.params[p, m])!r}")
+    return plan

@@ -238,7 +238,10 @@ def per_window_cost_table(x, cfg):
 
 def rowwise_parse_rows(path, intervals_per_day):
     """Parse and validate the long-format CSV one row at a time, returning
-    per-day cell maps: the parity reference for ``flowdata._parse_rows``."""
+    per-day cell maps: the parity reference for ``flowdata._parse_rows``.
+    Its row-wise reader restates this logic; this copy stays apart from it,
+    so that both of its readers, ``np.loadtxt`` on plain blocks and the
+    row-wise one on the rest, are checked against code neither shares."""
     cells: dict[str, dict[tuple[str, int], float]] = {}
     observed: set[str] = set()
     header_seen = False
@@ -323,8 +326,7 @@ def rowwise_save_dataset(ds, csv_path, manifest_hash=None):
 
 
 def rowwise_load_csv(path, interval_minutes, movement_order=None):
-    """``flowdata.load_csv`` on the row-by-row parser: the parity reference
-    for the column-wise one."""
+    """``flowdata.load_csv`` on the row-by-row parser: its parity reference."""
     intervals_per_day = 1440 // interval_minutes
     cells, observed = rowwise_parse_rows(path, intervals_per_day)
     if movement_order is not None:

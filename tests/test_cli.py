@@ -117,6 +117,24 @@ def test_predict_external_sample(dataset_dir, tmp_path):
     assert predicted == pytest.approx(expected, abs=1e-6)
 
 
+@pytest.mark.parametrize("sample, named", [
+    ('{"kind": "sample"}\n', "line 1: expected header"),   # a JSON file
+    (",".join(CSV_HEADER) + "\n2024-01-01,NB_T,1,1.0\n", "sample is missing movements"),
+], ids=["json", "missing-movement"])
+def test_predict_reads_its_sample_before_writing(sample, named, dataset_dir, tmp_path,
+                                                 capsys):
+    path = tmp_path / "sample.csv"
+    path.write_text(sample)
+    out = tmp_path / "pred"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    rc = main(["predict", "--input", str(dataset_dir / "flows.csv"), "--sample", str(path),
+               "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and named in err and err.count("\n") == 1
+    assert tree_bytes(out) == {Path("keep.txt"): b"kept"}
+
+
 def test_predict_needs_date_or_sample(dataset_dir, tmp_path, capsys):
     rc = main(["predict", "--input", str(dataset_dir / "flows.csv"),
                "--out-dir", str(tmp_path / "x")])
@@ -443,6 +461,8 @@ def test_default_control_on_the_readme_data_exits_1_writing_nothing(tmp_path, ca
     ("interval_minutes", "15", "'interval_minutes' must be an integer"),
     ("interval_minutes", 30, "30-minute intervals"),
     ("n_intervals", 48, "plan has 48 intervals per day, the data 24"),
+    ("params", [[1.0, -2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]],
+     "plan parameter of period 1, movement 2 is negative: -2.0"),
 ])
 def test_bad_plan_exits_1(field, value, named, dataset_dir, tmp_path, capsys):
     seg = tmp_path / "seg"

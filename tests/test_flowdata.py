@@ -344,13 +344,15 @@ def test_mean_profile_matches_numpy(noisy):
 
 # ---------------------------------------------------------------- ingest parity
 #
-# The column-wise parser against the row-by-row one it replaced: equal flows
-# bit for bit, equal warnings, and on bad input the same error message.  The
-# parser reads the file in blocks of ``_BLOCK_LINES`` lines; small blocks put
-# the header, duplicates and bad rows in any block, or across two.
+# The parser against the row-by-row reference: equal flows bit for bit, equal
+# warnings, and on bad input the same error message.  The parser reads the
+# file in blocks of ``_BLOCK_LINES`` lines, each by numpy's C reader or its
+# row-wise one; small blocks put the header, duplicates and bad rows in any
+# block, or across two.
 
 LABELS = ("NB T", "SB LT", "NB,L", 'S"B', '"q"', "#mv", "EB " + "x" * 70 + ",long",
           "\u00d6st\u00a0T")
+PLAIN_LABELS = ("NB T", "SB LT", "#mv")
 # Characters put at line and field edges: ASCII whitespace, non-ASCII
 # whitespace, and \x1c-\x1f, which str.strip removes but float rejects.
 EDGES = (("",), ("", " ", "\t"), ("", "\u00a0", "\u2002", "\u0085"), ("", "\x1c", "\x1f"))
@@ -360,7 +362,7 @@ FIELD_LIMIT = 90
 DATES = ("2024-01-01", "2024-01-02", "2024-02-29", "2023-12-31")
 CORRUPTIONS = ("date", "other-date", "no-movement", "interval", "interval-range",
                "flow", "flow-nan", "flow-negative", "duplicate", "drop", "short",
-               "long", "open-quote", "new-movement", "wide")
+               "long", "open-quote", "new-movement", "wide", "nul")
 
 
 def csv_line(fields):
@@ -375,9 +377,13 @@ def flow_files(draw, one_date=False):
     shuffled rows, comments, blank lines, quoted labels, padded lines and
     fields, mixed line endings and up to two corrupted rows."""
     minutes = draw(st.sampled_from([360, 480, 720]))
-    edges = draw(st.sampled_from(EDGES))
+    # Half the files have only lines numpy's C reader takes, but for the
+    # corrupted rows, inserted lines and line ends.
+    plain = draw(st.booleans())
+    edges = ("", " ") if plain else draw(st.sampled_from(EDGES))
     t = 1440 // minutes
-    movements = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
+    labels = PLAIN_LABELS if plain else LABELS
+    movements = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
     dates = draw(st.lists(st.sampled_from(DATES), min_size=1, max_size=1 if one_date else 3,
                           unique=True))
     r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -387,18 +393,28 @@ def flow_files(draw, one_date=False):
             for k in range(1, t + 1):
                 flow = float(r.uniform(0, 2000)) * float(r.choice([1.0, 1e-7, 1e7]))
                 pad = str(r.choice(edges))
-                text = r.choice([repr(flow), f"{flow:.3e}", str(int(flow)),
-                                 f" {flow!r} ", "0", "-0.0", f"{pad}{flow!r}{pad}"])
-                interval = r.choice([str(k), f" {k}", f"+{k}", f"{pad}{k}"])
-                rows.append([pad + d, mv if '"' in mv or "," in mv else mv + pad,
-                             interval, text])
+                texts = [repr(flow), f"{flow:.3e}", str(int(flow)), f" {flow!r} ", "0",
+                         "-0.0", f"{pad}{flow!r}{pad}"]
+                intervals = [str(k), str(k), f" {k}", f"+{k}", f" +{k}", f"{pad}{k}",
+                             "0" * 41 + str(k)]
+                if not plain:   # forms the C reader rejects and float() or int() reads
+                    texts.append(f"{int(flow):_}")
+                    intervals.append(chr(0xFF10 + k))
+                # Rarely, a 12-byte date, which an 11-byte field would cut,
+                # and a label with spaces and a tab at its edges.
+                odd = 0.0 if plain else 0.1
+                date = f" {d} " if r.random() < odd else pad + d
+                label = mv if '"' in mv or "," in mv else (
+                    f" {mv}\t" if r.random() < odd else mv + pad)
+                rows.append([date, label, str(r.choice(intervals)), str(r.choice(texts))])
     rows = [rows[i] for i in r.permutation(len(rows))]
     lines = [csv_line(row) for row in rows]
     for kind in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2)):
         i = int(r.integers(len(rows)))
         row = list(rows[i])
         if kind == "date":
-            row[0] = str(r.choice(["2024-02-30", "x", "", "2024/01/01"]))
+            # The last: an 11-byte field would cut it to a valid date.
+            row[0] = str(r.choice(["2024-02-30", "x", "", "2024/01/01", f" {row[0].strip()}0"]))
         elif kind == "other-date":
             row[0] = "2024-03-01"
         elif kind == "no-movement":
@@ -406,11 +422,11 @@ def flow_files(draw, one_date=False):
         elif kind == "interval":
             row[2] = str(r.choice(["abc", "1.5", "", " 2x "]))
         elif kind == "interval-range":
-            row[2] = str(r.choice([0, -1, t + 1, 10 ** 30]))
+            row[2] = str(r.choice([0, -1, t + 1, 10 ** 30, 10 ** 41]))
         elif kind == "flow":
             row[3] = str(r.choice(["abc", "", "1,5"]))
         elif kind == "flow-nan":
-            row[3] = str(r.choice(["nan", "inf", "-inf"]))
+            row[3] = str(r.choice(["nan", "inf", "-inf", "infinity", "1e309"]))
         elif kind == "flow-negative":
             row[3] = "-2.5"
         elif kind == "duplicate":
@@ -427,12 +443,16 @@ def flow_files(draw, one_date=False):
             lines[i] = csv_line(row + ["7"])
         elif kind == "open-quote":
             lines[i] = f'{row[0]},"{row[1]},{row[2]},{row[3]}'
+        elif kind == "nul":   # a NUL that ends a label, or one inside it
+            label = "NB" if '"' in row[1] or "," in row[1] else row[1]
+            lines[i] = ",".join([row[0], label + "\x00" + str(r.choice(["", "x"])), *row[2:]])
         else:
             lines[i] = csv_line(row)
     header = str(r.choice([",".join(CSV_HEADER), "Date, Movement ,interval_index,FLOW_VPH"]))
     lines.insert(0, header)
     for _ in range(int(r.integers(0, 4))):
-        lines.insert(int(r.integers(len(lines) + 1)), str(r.choice(["# note", "", "   ", "#"])))
+        lines.insert(int(r.integers(len(lines) + 1)),
+                     str(r.choice(["# note", "", "   ", "#", " \t"])))
     for i in r.choice(len(lines), size=int(r.integers(0, 3))):
         lines[i] = str(r.choice(edges)) + lines[i] + str(r.choice(edges))
     # One ending throughout, or \n with some lone \r among them.
@@ -505,6 +525,43 @@ def test_read_sample_matches_row_by_row_parser(scratch_csv, field_limit, case, d
     assert got == outcome(rowwise_read_sample, scratch_csv, ds, spec)
 
 
+# Lines that numpy's C reader would read otherwise than the row-wise reader,
+# each put in place of the row (2024-01-01, A, 3).
+TRAPS = {
+    "NUL ending a label": ["2024-01-01,A\x00,3,1.5"],   # numpy S fields drop it
+    "NUL inside a label": ["2024-01-01,A\x00B,3,1.5"],
+    "quoted label": ['2024-01-01,"A",3,1.5'],            # loadtxt keeps the quotes
+    "field over the csv limit": ["2024-01-01," + "A" * (FIELD_LIMIT + 5) + ",3,1.5"],
+    "date cut to a valid one": [" 2024-01-01x,A,3,1.5"],
+    "blank line, then a repeated cell": ["", "2024-01-01,A,2,9.0"],
+    "whitespace-only line": ["   "],
+    "repeated cell": ["2024-01-01,A,2,9.0"],
+    "empty label": ["2024-01-01, ,3,1.5"],
+    "interval 0": ["2024-01-01,A,0,1.5"],
+    "interval past the day": ["2024-01-01,A,5,1.5"],
+    "interval as a float": ["2024-01-01,A,3.0,1.5"],   # numpy < 2 reads it as 3
+    "interval with an underscore": ["2024-01-01,A,0_3,1.5"],
+    "infinite flow": ["2024-01-01,A,3,inf"],
+    "NaN flow": ["2024-01-01,A,3,nan"],
+    "negative flow": ["2024-01-01,A,3,-1.5"],
+}
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, flowdata._BLOCK_LINES])
+@pytest.mark.parametrize("trap", sorted(TRAPS))
+def test_lines_the_c_reader_would_misread_read_as_row_by_row(tmp_path, field_limit, trap,
+                                                            block):
+    lines = ["date,movement,interval_index,flow_vph"]
+    lines += [f"{d},{mv},{k},{k}.5" for d in ("2024-01-01", "2024-01-02") for mv in "AB"
+              for k in range(1, 5)]
+    lines[3:4] = TRAPS[trap]
+    p = tmp_path / "trap.csv"
+    p.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+    with mock.patch.object(flowdata, "_BLOCK_LINES", block):
+        got = outcome(load_csv, p, 360)
+    assert got == outcome(rowwise_load_csv, p, 360)
+
+
 @pytest.mark.parametrize("label", ["", " NB", "NB ", "\tNB", "NB\nT", "NB\rT"])
 def test_dataset_rejects_labels_csv_cannot_read_back(label):
     with pytest.raises(ValidationError, match=re.escape(repr(label))):
@@ -556,18 +613,43 @@ def test_dataset_rejects_days_that_do_not_round_trip(tmp_path, days, named):
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
-def test_line_blocks_end_lines_where_a_text_mode_file_does(tmp_path, block):
-    """Reads are ``_BLOCK_LINES << 6`` bytes, so the shifts put a \\r\\n
-    across a read boundary, and a \\r last in a read with more to come."""
+def test_line_ends_are_read_as_a_text_mode_file_reads_them(tmp_path, block):
+    """\\r\\n, a lone \\r (also one before \\r\\n, which leaves a blank line)
+    and \\n, and a last line without an end, in blocks read by either
+    reader.  The shifts move every byte along, as a longer first line does."""
+    rows = [f"2024-01-0{d},{mv},{k},{k}.5".encode()
+            for d in (1, 2) for mv in ("A", "d" * 70) for k in range(1, 5)]
+    ends = (b"\r\n", b"\r", b"\n", b"\r\r\n")
     p = tmp_path / "lines.csv"
     for shift in range(0, (block << 6) + 3):
-        p.write_bytes(b"a" * shift + b"\r\nb\rc\n\r\r\n" + b"d" * 70 + b"\r\ne\r")
-        with open(p, "r", encoding="utf-8", newline="") as fh:
-            expected = list(fh)
-        with mock.patch.object(flowdata, "_BLOCK_LINES", block), open(p, "rb") as fh:
-            got = [raw[a:b].decode() for raw, ends in flowdata._line_blocks(fh)
-                   for a, b in zip([0, *ends[:-1]], ends)]
-        assert got == expected, shift
+        for last in (b"", b"\r"):
+            p.write_bytes(b"#" + b"a" * shift + b"\r\ndate,movement,interval_index,flow_vph\r\n"
+                          + b"".join(row + ends[i % 4] for i, row in enumerate(rows[:-1]))
+                          + rows[-1] + last)
+            with mock.patch.object(flowdata, "_BLOCK_LINES", block):
+                got = outcome(load_csv, p, 360)
+            assert got == outcome(rowwise_load_csv, p, 360), shift
+            assert got[0][1] == (DayRecord("2024-01-01"), DayRecord("2024-01-02"))
+
+
+def test_saved_files_take_the_c_reader(tmp_path, noisy):
+    """Every block of a file that ``save_dataset`` writes is plain, so the
+    row-wise reader reads only the lines up to the header."""
+    ds, _ = noisy
+    csv_path, meta_path = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    save_dataset(ds, csv_path, meta_path, manifest_hash="ab12")
+    plain_rows, taken = flowdata._plain_rows, []
+
+    def spy(*args):
+        rows = plain_rows(*args)
+        taken.append(rows is not None)
+        return rows
+
+    with mock.patch.object(flowdata, "_BLOCK_LINES", 100), \
+            mock.patch.object(flowdata, "_plain_rows", spy):
+        back = load_dataset(csv_path, meta_path)
+    assert np.array_equal(back.flows, ds.flows)
+    assert len(taken) == -(-ds.flows.size // 100) and all(taken)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, flowdata._BLOCK_LINES])
@@ -596,6 +678,17 @@ def test_header_that_is_not_utf8_is_an_offending_line(tmp_path):
     p.write_bytes(b"\n# note\ndate,movement,interval_index,flow_vph\xe9\n")
     with pytest.raises(ValidationError, match="^line 3: not UTF-8: .* position 37"):
         load_csv(p, 360)
+
+
+def test_bytes_cut_short_by_a_line_end_are_named_without_it(tmp_path):
+    """Decoded with its \\r\\n, the cut sequence would read as an invalid
+    continuation byte; the message describes the line's own bytes."""
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"date,movement,interval_index,flow_vph\r\n2024-01-01,A\xe2\x80\r\n")
+    with pytest.raises(ValidationError) as err:
+        load_csv(p, 360)
+    assert str(err.value) == ("line 2: not UTF-8: 'utf-8' codec can't decode bytes in "
+                              "position 12-13: unexpected end of data")
 
 
 FLOWS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
