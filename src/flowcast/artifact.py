@@ -1,12 +1,13 @@
-"""Versioned JSON artifacts: the one place their envelope is written and read.
+"""Versioned JSON artifacts: the one place their envelope is rendered, written and read.
 
 An artifact is a JSON object with sorted keys and a trailing newline.  A
 versioned artifact also carries ``format_version`` (1) and, for typed
 documents, a ``kind``; any artifact written by a CLI run carries the run's
 ``manifest_hash``.  Model documents (``pca_model``, ``pls_model``,
-``pls_model_bank``) are written compact, every other document with
-``indent=2``.  A field a reader asks for and a read document lacks or holds
-with the wrong type is a ``ValueError`` naming it.
+``pls_model_bank``) are rendered compact, every other document with
+``indent=2``, and none with a non-finite number, which no reader takes back.
+A field a reader asks for and a read document lacks or holds with the wrong
+type is a ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -19,43 +20,61 @@ import numpy as np
 
 FORMAT_VERSION = 1
 
+COMPACT_KINDS = frozenset({"pca_model", "pls_model", "pls_model_bank"})
+
 
 class _Fields(dict):
-    """A JSON object read by :func:`read`, whose missing key is a
+    """A JSON object read by :func:`load`, whose missing key is a
     ``ValueError`` naming it rather than a ``KeyError``."""
 
     def __missing__(self, key):
         raise ValueError(f"document field {key!r} is missing")
 
 
-def document(kind: str | None, fields: dict, manifest_hash: str | None = None) -> dict:
-    """``fields`` stamped with ``format_version``, ``kind`` (unless None) and,
-    when given, ``manifest_hash``."""
+def document(kind: str | None, fields: dict) -> dict:
+    """``fields`` stamped with ``format_version`` and ``kind`` (unless None)."""
     doc = {"format_version": FORMAT_VERSION, **fields}
     if kind is not None:
         doc["kind"] = kind
-    if manifest_hash:
-        doc["manifest_hash"] = manifest_hash
     return doc
 
 
-def write(doc: dict, path: str | Path | None, compact: bool = False) -> dict:
-    """Write ``doc`` to ``path`` (skipped when None) and return it.
+def render(doc: dict) -> str:
+    """The text of ``doc``; a non-finite number is a ``ValueError`` naming its kind."""
+    kind = doc.get("kind")
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False,
+                          indent=None if kind in COMPACT_KINDS else 2)
+    except ValueError:
+        raise ValueError(f"{kind or 'JSON'} document holds a non-finite number") from None
+    return text + "\n"
+
+
+def write(content: dict | str, path: str | Path) -> None:
+    """Write ``content``, a document (see :func:`render`) or text, to ``path``.
 
     The text goes to a temporary file in the same directory that then
     replaces ``path``, so readers never see a partly written file.
     """
-    if path is not None:
-        path = Path(path)
-        text = json.dumps(doc, sort_keys=True, indent=None if compact else 2) + "\n"
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    path = Path(path)
+    text = content if isinstance(content, str) else render(content)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def load(path: str | Path):
+    """The JSON value in file ``path``, whose objects name a missing field;
+    bad or too deeply nested JSON is a ``ValueError`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-    return doc
+            return json.load(fh, object_hook=_Fields)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
 
 def read(source: str | Path | dict, kind: str | None) -> dict:
@@ -69,11 +88,7 @@ def read(source: str | Path | dict, kind: str | None) -> dict:
     if isinstance(source, dict):
         doc = source if isinstance(source, _Fields) else _Fields(source)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh, object_hook=_Fields)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{source}: invalid JSON ({exc})") from exc
+        doc = load(source)
     if not isinstance(doc, dict) or doc.get("kind") != kind \
             or doc.get("format_version") != FORMAT_VERSION:
         what = f"{kind} document" if kind else "document"

@@ -1,7 +1,8 @@
 """Command-line harness: synth, pca, predict, segment, control, loocv.
 
-Every run writes a ``manifest.json`` capturing inputs, seed, and resolved
-configuration; its SHA-256 hash is embedded in every artifact (JSON field
+Every run computes all its files in memory, then commits them to ``--out-dir``
+with a ``manifest.json`` capturing inputs, seed and resolved configuration,
+written last; its SHA-256 hash is embedded in every artifact (JSON field
 ``manifest_hash``; leading ``# manifest_hash=...`` comment in CSVs) so
 outputs are traceable and reruns byte-identical.
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import warnings
@@ -28,11 +30,12 @@ from .flowdata import (
     SplitSpec,
     ValidationError,
     center,
+    dataset_csv,
+    dataset_sidecar,
     load_csv,
     load_dataset,
     load_sample,
     mean_profile,
-    save_dataset,
     split_at,
     vector_to_grid,
 )
@@ -75,10 +78,9 @@ class RunManifest:
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
-    def write(self, out_dir: Path) -> str:
-        doc = {**json.loads(self.canonical_json()), "manifest_hash": self.hash}
-        artifact.write(doc, out_dir / "manifest.json")
-        return self.hash
+    def document(self) -> dict:
+        """The ``manifest.json`` body: the manifest and its own hash."""
+        return {**json.loads(self.canonical_json()), "manifest_hash": self.hash}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,19 +88,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _write_csv(path: Path, header: list[str], rows, manifest_hash: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest_hash={manifest_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv(header: list[str], rows) -> str:
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return text.getvalue()
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = artifact.load(path)
     if not isinstance(doc, dict):
         raise ValidationError("config file must hold a JSON object")
     return doc
@@ -128,29 +127,39 @@ def _typed_values(name: str):
                               f"{exc}") from None
 
 
-def _meta_path(csv_path: Path) -> Path:
-    return csv_path.parent / (csv_path.stem + ".meta.json")
-
-
 def _load_input(args) -> FlowDataset:
     if not args.input:
         raise ValidationError("--input is required for this command")
     csv_path = Path(args.input)
-    meta = _meta_path(csv_path)
+    meta = csv_path.with_name(csv_path.stem + ".meta.json")
     if meta.exists():
         return load_dataset(csv_path, meta)
     return load_csv(csv_path, args.interval_minutes)
 
 
-def _start_run(args, inputs: dict, configs: dict, seed: int | None = None) -> tuple[Path, str]:
-    """Create ``--out-dir`` and write the manifest of ``args.command`` there,
-    seeded ``seed`` or else ``args.seed``; returns (out dir, manifest hash)."""
+def _stamped(content: dict | str, manifest_hash: str) -> str:
+    """The text of a document or CSV text, stamped with ``manifest_hash``."""
+    if isinstance(content, str):
+        return f"# manifest_hash={manifest_hash}\n{content}"
+    return artifact.render({**content, "manifest_hash": manifest_hash})
+
+
+def _commit(args, inputs: dict, configs: dict, artifacts: dict[str, dict | str],
+            seed: int | None = None, cache: dict[Path, dict] | None = None) -> None:
+    """Render, then write: the ``cache`` documents, each of ``artifacts``
+    stamped under its name in ``--out-dir``, and the manifest of
+    ``args.command`` (seeded ``seed``, else ``args.seed``) last."""
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command=args.command, inputs=inputs,
                            seed=args.seed if seed is None else seed,
                            configs=configs, out_dir=str(out))
-    return out, manifest.write(out)
+    texts = {path: artifact.render(doc) for path, doc in (cache or {}).items()}
+    texts.update((out / name, _stamped(content, manifest.hash))
+                 for name, content in artifacts.items())
+    texts[out / "manifest.json"] = artifact.render(manifest.document())
+    for path, text in texts.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        artifact.write(text, path)
 
 
 def _fmt(value: float, places: int = 6) -> str:
@@ -166,12 +175,12 @@ def cmd_synth(args) -> int:
         synth_cfg["seed"] = args.seed
     with _typed_values("synth"):
         cfg = SynthConfig(**synth_cfg)
-    out, mhash = _start_run(args, {}, {"synth": asdict(cfg)}, seed=cfg.seed)
     ds, truth = generate(cfg)
-    save_dataset(ds, out / "flows.csv", out / "flows.meta.json", manifest_hash=mhash)
-    artifact.write({**truth.to_json_dict(), "manifest_hash": mhash},
-                   out / "ground_truth.json")
-    print(f"wrote {ds.n_days} days x {ds.flows.shape[1]} columns to {out / 'flows.csv'}")
+    _commit(args, {}, {"synth": asdict(cfg)},
+            {"flows.csv": dataset_csv(ds), "flows.meta.json": dataset_sidecar(ds),
+             "ground_truth.json": truth.to_json_dict()}, seed=cfg.seed)
+    print(f"wrote {ds.n_days} days x {ds.flows.shape[1]} columns to "
+          f"{Path(args.out_dir) / 'flows.csv'}")
     return 0
 
 
@@ -179,24 +188,21 @@ def cmd_synth(args) -> int:
 
 def cmd_pca(args) -> int:
     ds = _load_input(args)
-    out, mhash = _start_run(args, {"input": str(args.input)},
-                            {"pca": {"n_components": args.n_components,
-                                     "component_scale": args.component_scale}})
     model = fit_pca(center(ds), args.n_components, component_scale=args.component_scale)
-    pca_to_json(model, out / "pca_model.json", manifest_hash=mhash)
     fractions = explained_variance(model)
-    _write_csv(
-        out / "explained_variance.csv",
-        ["component", "fraction"],
-        [[i + 1, _fmt(f, 9)] for i, f in enumerate(fractions)],
-        mhash,
-    )
     header = ["date"] + [f"w{i + 1}" for i in range(model.n_components)]
     rows = [
         [rec.date] + [_fmt(w) for w in model.weights[i]]
         for i, rec in enumerate(ds.days)
     ]
-    _write_csv(out / "weights.csv", header, rows, mhash)
+    _commit(args, {"input": str(args.input)},
+            {"pca": {"n_components": args.n_components,
+                     "component_scale": args.component_scale}},
+            {"pca_model.json": pca_to_json(model),
+             "explained_variance.csv": _csv(
+                 ["component", "fraction"],
+                 [[i + 1, _fmt(f, 9)] for i, f in enumerate(fractions)]),
+             "weights.csv": _csv(header, rows)})
     print(f"fit {model.n_components} components; "
           f"top fraction {fractions[0]:.4f}" if len(fractions) else "fit model")
     return 0
@@ -235,30 +241,22 @@ def cmd_predict(args) -> int:
     else:
         label, z_sample = load_sample(args.sample, ds, spec)
         z_train, y_train, actual = z_all, y_all, None
-    # The sample and the date are read before the run writes anything.
-    out, mhash = _start_run(
-        args, {"input": str(args.input), "sample": args.sample or "", "date": args.date or ""},
-        {"split": asdict(spec), "pls": {"n_components": args.n_components}})
     model = fit_pls_kernel(z_train, y_train, args.n_components, split=spec)
     y_hat = predict(model, z_sample)
     y_mean = y_train.mean(axis=0)
 
-    width = spec.predicted_width
     rows = []
-    for m, movement in enumerate(ds.movements):
-        for k in range(width):
-            interval = spec.predict_from + k * spec.predicted_stride
-            col = m * width + k
-            rows.append([
-                movement,
-                interval,
-                "" if actual is None else _fmt(actual[col]),
-                _fmt(y_hat[col]),
-                _fmt(y_mean[col]),
-            ])
-    _write_csv(out / "prediction.csv",
-               ["movement", "interval", "actual", "predicted", "mean"], rows, mhash)
-    print(f"predicted {label}: {len(rows)} rows -> {out / 'prediction.csv'}")
+    for col in range(y_hat.size):  # movement-major blocks of the predicted window
+        m, k = divmod(col, spec.predicted_width)
+        rows.append([ds.movements[m], spec.predict_from + k * spec.predicted_stride,
+                     "" if actual is None else _fmt(actual[col]),
+                     _fmt(y_hat[col]), _fmt(y_mean[col])])
+    _commit(args,
+            {"input": str(args.input), "sample": args.sample or "", "date": args.date or ""},
+            {"split": asdict(spec), "pls": {"n_components": args.n_components}},
+            {"prediction.csv": _csv(["movement", "interval", "actual", "predicted", "mean"],
+                                    rows)})
+    print(f"predicted {label}: {len(rows)} rows -> {Path(args.out_dir) / 'prediction.csv'}")
     return 0
 
 
@@ -273,11 +271,10 @@ def cmd_segment(args) -> int:
         profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
     plan = optimal_segmentation(profile, args.segments, fit_cfg,
                                 interval_minutes=ds.interval_minutes)
-    out, mhash = _start_run(args, {"input": str(args.input), "date": args.date or ""},
-                            {"segmentation": {"segments": args.segments,
-                                              "overflow_penalty": args.overflow_penalty}})
-    plan_to_json(plan, out / "plan.json", manifest_hash=mhash,
-                 movements=list(ds.movements))
+    _commit(args, {"input": str(args.input), "date": args.date or ""},
+            {"segmentation": {"segments": args.segments,
+                              "overflow_penalty": args.overflow_penalty}},
+            {"plan.json": plan_to_json(plan, movements=list(ds.movements))})
     times = ", ".join(str(t) for t in plan.switch_times)
     print(f"optimal {plan.n_periods}-period plan, switches at [{times}], "
           f"cost {plan.total_cost:.3f}")
@@ -289,15 +286,7 @@ def cmd_segment(args) -> int:
 def cmd_loocv(args) -> int:
     ds = _load_input(args)
     spec = _split_spec_from_args(args, ds)
-    out, mhash = _start_run(args, {"input": str(args.input)},
-                            {"split": asdict(spec), "pls": {"n_components": args.n_components}})
     records = loocv(ds, spec, args.n_components)
-    _write_csv(
-        out / "loocv.csv",
-        ["date", "E_pred", "E_base", "decrease"],
-        [[r.date, _fmt(r.e_pred), _fmt(r.e_base), _fmt(r.decrease, 9)] for r in records],
-        mhash,
-    )
     positive = sum(1 for r in records if r.decrease > 0)
     summary = {
         "n_days": len(records),
@@ -305,7 +294,12 @@ def cmd_loocv(args) -> int:
         "fraction_positive_decrease": positive / len(records),
         "mean_decrease": float(np.mean([r.decrease for r in records])),
     }
-    artifact.write({**summary, "manifest_hash": mhash}, out / "loocv_summary.json")
+    _commit(args, {"input": str(args.input)},
+            {"split": asdict(spec), "pls": {"n_components": args.n_components}},
+            {"loocv.csv": _csv(["date", "E_pred", "E_base", "decrease"],
+                               [[r.date, _fmt(r.e_pred), _fmt(r.e_base), _fmt(r.decrease, 9)]
+                                for r in records]),
+             "loocv_summary.json": summary})
     print(f"{positive}/{len(records)} days improved over the mean baseline")
     return 0
 
@@ -332,7 +326,8 @@ def _dataset_hash(ds: FlowDataset) -> str:
 
 
 def _bank_for(ds: FlowDataset, plan, ctrl_cfg: ControllerConfig, n_components: int,
-              cache_dir: Path) -> PlsModelBank:
+              cache_dir: Path) -> tuple[PlsModelBank, dict[Path, dict]]:
+    """The bank, read from ``cache_dir`` or fitted, and the cache file to write."""
     key_material = json.dumps({
         "dataset": _dataset_hash(ds),
         "plan": plan_to_json(plan),
@@ -347,14 +342,12 @@ def _bank_for(ds: FlowDataset, plan, ctrl_cfg: ControllerConfig, n_components: i
         try:
             bank = PlsModelBank.from_json(cache_file)
             bank.check_fits(plan, ctrl_cfg.window_halfwidth, ds.n_movements)
-            return bank
+            return bank, {}
         except ValueError as exc:
             print(f"warning: refitting damaged bank cache {cache_file}: {exc}",
                   file=sys.stderr)
     bank = build_model_bank(ds, plan, ctrl_cfg, n_components)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    bank.to_json(cache_file)
-    return bank
+    return bank, {cache_file: bank.to_json()}
 
 
 def cmd_control(args) -> int:
@@ -378,36 +371,33 @@ def cmd_control(args) -> int:
         profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
         plan = optimal_segmentation(profile, args.segments, fit_cfg,
                                     interval_minutes=ds.interval_minutes)
-    # The plan and the date are checked before the run writes anything.
     validate_windows(plan, ctrl_cfg.window_halfwidth)
     indices = list(range(ds.n_days)) if args.date == "all" else [ds.day_index(args.date)]
+    artifacts = {} if args.plan else {
+        "plan.json": plan_to_json(plan, movements=list(ds.movements))}
 
-    out, mhash = _start_run(
-        args, {"input": str(args.input), "plan": args.plan or "", "date": args.date},
-        {"segmentation": {"segments": plan.n_periods,
-                          "overflow_penalty": args.overflow_penalty},
-         "controller": {"window_halfwidth": ctrl_cfg.window_halfwidth,
-                        "clamp_predictions": ctrl_cfg.clamp_predictions},
-         "pls": {"n_components": args.n_components},
-         "intersection": config.get("intersection", {})})
-    if not args.plan:
-        plan_to_json(plan, out / "plan.json", manifest_hash=mhash,
-                     movements=list(ds.movements))
-
-    bank = _bank_for(ds, plan, ctrl_cfg, args.n_components, out / "cache")
+    bank, cache = _bank_for(ds, plan, ctrl_cfg, args.n_components,
+                            Path(args.out_dir) / "cache")
     results = evaluate_days(ds, indices, plan, bank, ctrl_cfg, fit_cfg, ic)
     if args.date != "all":
         ((report, *plans),) = results
         date = report.date
         rows = [[t + 1] + [_fmt(report.traces[s].rates[t]) for s in SCENARIOS]
                 for t in range(ds.intervals_per_day)]
-        _write_csv(out / f"delay_{date}.csv", ["interval", *SCENARIOS], rows, mhash)
+        artifacts[f"delay_{date}.csv"] = _csv(["interval", *SCENARIOS], rows)
         for suffix, predictive in zip(("seg", "seg_params"), plans):
-            predictive_plan_to_json(predictive, out / f"predictive_plan_{date}_{suffix}.json",
-                                    manifest_hash=mhash, date=date)
+            artifacts[f"predictive_plan_{date}_{suffix}.json"] = predictive_plan_to_json(
+                predictive, date=date)
 
-    doc = report_document([r for r, _, _ in results])
-    artifact.write({**doc, "manifest_hash": mhash}, out / "delay_report.json")
+    artifacts["delay_report.json"] = doc = report_document([r for r, _, _ in results])
+    _commit(args, {"input": str(args.input), "plan": args.plan or "", "date": args.date},
+            {"segmentation": {"segments": plan.n_periods,
+                              "overflow_penalty": args.overflow_penalty},
+             "controller": {"window_halfwidth": ctrl_cfg.window_halfwidth,
+                            "clamp_predictions": ctrl_cfg.clamp_predictions},
+             "pls": {"n_components": args.n_components},
+             "intersection": config.get("intersection", {})},
+            artifacts, cache=cache)
     print(f"evaluated {len(results)} day(s); mean nominal delay "
           f"{doc['mean']['nominal']:.1f} veh.h, seg+params improvement "
           f"{doc['mean']['improvement_seg_params']:.1f} veh.h")

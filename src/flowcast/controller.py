@@ -24,7 +24,9 @@ import numpy as np
 from . import artifact
 from .delay import SCENARIOS, DelayReport, IntersectionConfig, lower_bound_delays, simulate_day
 from .flowdata import FlowDataset, SplitSpec, grid_to_vector, split_at, vector_to_grid
-from .pls import PlsModel, fit_kernels, gram, predict, pls_to_json, pls_from_json
+from .pls import (
+    PlsModel, check_components, fit_kernels, gram, predict, pls_to_json, pls_from_json,
+)
 from .segmentation import FitConfig, PeriodPlan, SegmentationPlan, fit_value, segment_cost
 
 
@@ -132,17 +134,15 @@ class PlsModelBank:
     def prediction_id(self, period: int, t: int) -> str:
         return f"pls:{period}:{t}"
 
-    def to_json(self, path: str | Path | None = None,
-                manifest_hash: str | None = None) -> dict:
-        doc = artifact.document("pls_model_bank", {
+    def to_json(self) -> dict:
+        return artifact.document("pls_model_bank", {
             "n_movements": self.n_movements,
             "horizons": {str(i): h for i, h in self.horizons.items()},
             "models": [
                 {"period": i, "time": t, "model": pls_to_json(m)}
                 for (i, t), m in sorted(self.models.items())
             ],
-        }, manifest_hash)
-        return artifact.write(doc, path, compact=True)
+        })
 
     @classmethod
     def from_json(cls, source: str | Path | dict) -> "PlsModelBank":
@@ -226,6 +226,7 @@ def build_model_bank(ds: FlowDataset, plan: SegmentationPlan, cfg: ControllerCon
     validate_windows(plan, cfg.window_halfwidth)
     if plan.n_intervals != ds.intervals_per_day:
         raise ValueError("plan and dataset disagree on intervals per day")
+    check_components(n_components, ds.n_days)
     horizons = plan_horizons(plan)
     keys = bank_keys(plan, cfg.window_halfwidth)
     d, m, n_intervals = ds.n_days, ds.n_movements, ds.intervals_per_day
@@ -347,10 +348,9 @@ def evaluate_days(ds: FlowDataset, indices: list[int], nominal: SegmentationPlan
     return results
 
 
-def predictive_plan_to_json(plan: PredictivePlan, path: str | Path | None = None,
-                            manifest_hash: str | None = None, **extra) -> dict:
-    """Serialize a controller run (decision log included)."""
-    doc = artifact.document("predictive_plan", {
+def predictive_plan_to_json(plan: PredictivePlan, **extra) -> dict:
+    """A controller run (decision log included) as a versioned JSON
+    document, with the fields ``extra``."""
+    return artifact.document("predictive_plan", {
         **plan._json_fields(), "mode": plan.mode.value,
-        "decision_log": list(plan.decision_log), **extra}, manifest_hash)
-    return artifact.write(doc, path)
+        "decision_log": list(plan.decision_log), **extra})

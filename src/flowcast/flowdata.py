@@ -496,37 +496,37 @@ def load_sample(path: str | Path, ds: FlowDataset, spec: SplitSpec) -> tuple[str
     return date_label, z[0]
 
 
-def save_dataset(
-    ds: FlowDataset,
-    csv_path: str | Path,
-    meta_path: str | Path,
-    manifest_hash: str | None = None,
-) -> None:
-    """Write a dataset as canonical CSV plus a JSON metadata sidecar."""
-    csv_path, meta_path = Path(csv_path), Path(meta_path)
+def dataset_csv(ds: FlowDataset) -> str:
+    """A dataset's canonical CSV text, as the ``csv`` module writes it."""
     t = ds.intervals_per_day
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        if manifest_hash:
-            fh.write(f"# manifest_hash={manifest_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        labels = []   # each label as the csv module writes it, quoted if need be
-        for movement in ds.movements:
-            cell = io.StringIO()
-            csv.writer(cell).writerow([movement])
-            labels.append(cell.getvalue()[:-2])
-        for rec, row in zip(ds.days, ds.flows.tolist()):
-            for m, label in enumerate(labels):
-                # repr of a float is its shortest round-trip decimal form,
-                # so load_csv recovers the exact binary64 value.
-                fh.write("".join(f"{rec.date},{label},{k},{flow!r}\r\n"
-                                 for k, flow in enumerate(row[m * t:(m + 1) * t], 1)))
-    meta = artifact.document(None, {
+    labels = []   # each label as the csv module writes it, quoted if need be
+    for movement in ds.movements:
+        cell = io.StringIO()
+        csv.writer(cell).writerow([movement])
+        labels.append(cell.getvalue()[:-2])
+    # repr of a float is its shortest round-trip decimal form, so load_csv
+    # recovers the exact binary64 value.
+    return ",".join(CSV_HEADER) + "\r\n" + "".join(
+        f"{rec.date},{label},{k},{flow!r}\r\n"
+        for rec, row in zip(ds.days, ds.flows.tolist())
+        for m, label in enumerate(labels)
+        for k, flow in enumerate(row[m * t:(m + 1) * t], 1))
+
+
+def dataset_sidecar(ds: FlowDataset) -> dict:
+    """A dataset's JSON metadata sidecar: interval length, movement order and
+    days with their weekday tags."""
+    return artifact.document(None, {
         "interval_minutes": ds.interval_minutes,
         "movements": list(ds.movements),
         "days": [{"date": r.date, "day_of_week": r.day_of_week} for r in ds.days],
-    }, manifest_hash)
-    artifact.write(meta, meta_path)
+    })
+
+
+def save_dataset(ds: FlowDataset, csv_path: str | Path, meta_path: str | Path) -> None:
+    """Write a dataset as canonical CSV plus a JSON metadata sidecar."""
+    artifact.write(dataset_csv(ds), csv_path)
+    artifact.write(dataset_sidecar(ds), meta_path)
 
 
 def load_dataset(csv_path: str | Path, meta_path: str | Path) -> FlowDataset:

@@ -147,24 +147,24 @@ def reconstruct(model: PcaModel, weights: np.ndarray) -> np.ndarray:
     return model.mean + model.components @ w
 
 
-def pca_to_json(model: PcaModel, path: str | Path | None = None,
-                manifest_hash: str | None = None) -> dict:
-    """Serialize a model to a versioned JSON document (optionally to disk).
+def pca_to_json(model: PcaModel) -> dict:
+    """A model as a versioned JSON document.
 
     The cosmetic ``component_scale`` is applied here: exported components are
     multiplied by it and exported weights divided, so plotted component curves
     match display conventions while ``weights @ components.T`` is unchanged.
+    A value the scale overflows is left infinite, which ``artifact.render`` refuses.
     """
     scale = model.component_scale
-    doc = artifact.document("pca_model", {
-        "mean": model.mean.tolist(),
-        "components": (model.components * scale).tolist(),
-        "weights": (model.weights / scale).tolist(),
-        "singular_values": model.singular_values.tolist(),
-        "singular_value_sum": model.singular_value_sum,
-        "component_scale": scale,
-    }, manifest_hash)
-    return artifact.write(doc, path, compact=True)
+    with np.errstate(over="ignore"):
+        return artifact.document("pca_model", {
+            "mean": model.mean.tolist(),
+            "components": (model.components * scale).tolist(),
+            "weights": (model.weights / scale).tolist(),
+            "singular_values": model.singular_values.tolist(),
+            "singular_value_sum": model.singular_value_sum,
+            "component_scale": scale,
+        })
 
 
 def pca_from_json(source: str | Path | dict) -> PcaModel:

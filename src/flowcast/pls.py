@@ -152,6 +152,13 @@ def _stop(i: int, n_components: int, stacklevel: int) -> int:
     return dropped
 
 
+def check_components(n_components: int, n_days: int) -> None:
+    """A fit on ``n_days`` days takes 1 to ``n_days - 1`` components, else ``ValueError``."""
+    if not (1 <= n_components <= n_days - 1):
+        raise ValueError(f"n_components={n_components} outside [1, {n_days - 1}] "
+                         f"for {n_days} days")
+
+
 def _centered_fit_args(z, y, n_components):
     """Checked fit arguments, centered: ``(zc, yc, mean_z, mean_y)``."""
     z = np.asarray(z, dtype=float)
@@ -163,8 +170,7 @@ def _centered_fit_args(z, y, n_components):
     d = z.shape[0]
     if d < 2:
         raise ValueError("fitting requires at least 2 days")
-    if not (1 <= n_components <= d - 1):
-        raise ValueError(f"n_components={n_components} outside [1, {d - 1}] for {d} days")
+    check_components(n_components, d)
     mean_z, mean_y = z.mean(axis=0), y.mean(axis=0)
     return z - mean_z, y - mean_y, mean_z, mean_y
 
@@ -474,10 +480,9 @@ def loocv(ds: FlowDataset, spec: SplitSpec, n_components: int) -> list[LoocvReco
     return records
 
 
-def pls_to_json(model: PlsModel, path: str | Path | None = None,
-                manifest_hash: str | None = None) -> dict:
-    """Serialize to a versioned JSON document (optionally written to disk)."""
-    doc = artifact.document("pls_model", {
+def pls_to_json(model: PlsModel) -> dict:
+    """A model as a versioned JSON document."""
+    return artifact.document("pls_model", {
         "predictor_loadings": model.predictor_loadings.tolist(),
         "predicted_loadings": model.predicted_loadings.tolist(),
         "scores": model.scores.tolist(),
@@ -487,8 +492,7 @@ def pls_to_json(model: PlsModel, path: str | Path | None = None,
         "z_residual_norm": model.z_residual_norm,
         "y_residual_norm": model.y_residual_norm,
         "split": None if model.split is None else asdict(model.split),
-    }, manifest_hash)
-    return artifact.write(doc, path, compact=True)
+    })
 
 
 def _split_from_json(entry) -> SplitSpec:

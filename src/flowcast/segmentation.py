@@ -465,13 +465,11 @@ def optimal_segmentation(x: np.ndarray, n_periods: int, cfg: FitConfig,
     )
 
 
-def plan_to_json(plan: SegmentationPlan, path: str | Path | None = None,
-                 manifest_hash: str | None = None, **extra) -> dict:
-    """Serialize a plan, rendering switch times as HH:MM when the interval
-    length is known."""
-    doc = artifact.document("segmentation_plan", {
-        **plan._json_fields(), "total_cost": plan.total_cost, **extra}, manifest_hash)
-    return artifact.write(doc, path)
+def plan_to_json(plan: SegmentationPlan, **extra) -> dict:
+    """A plan as a versioned JSON document, with switch times also as HH:MM
+    when the interval length is known, and the fields ``extra``."""
+    return artifact.document("segmentation_plan", {
+        **plan._json_fields(), "total_cost": plan.total_cost, **extra})
 
 
 def plan_from_json(source: str | Path | dict) -> SegmentationPlan:

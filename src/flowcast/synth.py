@@ -71,8 +71,8 @@ class SynthConfig:
     start_date: str = "2024-01-01"
 
     def __post_init__(self) -> None:
-        # Every setting is checked here, before a run writes anything: a
-        # wrong type is a TypeError, a bad value a ValueError, each naming it.
+        # Every setting is checked here: a wrong type is a TypeError, a bad
+        # value a ValueError, each naming it.
         for name in ("seed", "n_days", "n_movements", "n_components"):
             if not artifact.is_a(getattr(self, name), int):
                 raise TypeError(f"{name} must be an integer")

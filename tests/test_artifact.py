@@ -3,7 +3,9 @@
 Each artifact is built from a tiny hand-made object whose floats are exactly
 representable, so the expected text below does not depend on BLAS or on
 float formatting.  The texts were produced by the serializers before the
-envelope moved into ``flowcast.artifact``; any byte change shows here.
+envelope moved into ``flowcast.artifact``; any byte change shows here.  The
+writers stamp the hash as a CLI run's commit does (the bank cache is not
+stamped).
 """
 
 import json
@@ -12,14 +14,16 @@ import numpy as np
 import pytest
 
 from flowcast import artifact
-from flowcast.cli import RunManifest
+from flowcast.cli import RunManifest, _stamped
 from flowcast.controller import (
     ControllerMode,
     PlsModelBank,
     PredictivePlan,
     predictive_plan_to_json,
 )
-from flowcast.flowdata import DayRecord, FlowDataset, SplitSpec, load_dataset, save_dataset
+from flowcast.flowdata import (
+    DayRecord, FlowDataset, SplitSpec, dataset_csv, dataset_sidecar, load_dataset,
+)
 from flowcast.lowrank import PcaModel, pca_from_json, pca_to_json
 from flowcast.pls import PlsModel, pls_from_json, pls_to_json
 from flowcast.segmentation import SegmentationPlan, plan_from_json, plan_to_json
@@ -194,21 +198,21 @@ def write_pca(path):
     model = PcaModel(mean=[0.5, 1.25], components=[[1.0], [0.0]],
                      weights=[[0.5], [-0.5]], singular_values=[0.75],
                      singular_value_sum=1.25, component_scale=2.0)
-    pca_to_json(model, path, manifest_hash=H)
+    artifact.write(_stamped(pca_to_json(model), H), path)
 
 
 def write_pls(path):
-    pls_to_json(tiny_pls(), path, manifest_hash=H)
+    artifact.write(_stamped(pls_to_json(tiny_pls()), H), path)
 
 
 def write_bank(path):
-    PlsModelBank({(1, 1): tiny_pls()}, {1: 3}, n_movements=1).to_json(path)
+    artifact.write(PlsModelBank({(1, 1): tiny_pls()}, {1: 3}, n_movements=1).to_json(), path)
 
 
 def write_plan(path):
     plan = SegmentationPlan(n_periods=2, n_intervals=4, switch_times=(2,),
                             params=[[0.5], [1.25]], total_cost=0.75, interval_minutes=360)
-    plan_to_json(plan, path, manifest_hash=H, movements=["NB T"])
+    artifact.write(_stamped(plan_to_json(plan, movements=["NB T"]), H), path)
 
 
 def write_predictive(path):
@@ -218,23 +222,24 @@ def write_predictive(path):
         decision_log=({"time": 3, "period": 1, "t_opt": 3, "prediction": "pls:1:3"},),
         interval_minutes=360,
     )
-    predictive_plan_to_json(plan, path, manifest_hash=H, date="2024-01-01")
+    artifact.write(_stamped(predictive_plan_to_json(plan, date="2024-01-01"), H), path)
 
 
 def write_manifest(path):
-    RunManifest(command="synth", inputs={}, seed=7, configs={"synth": {"seed": 7}},
-                out_dir="out", tool_version="0.1.0").write(path.parent)
-    path.parent.joinpath("manifest.json").rename(path)
+    artifact.write(RunManifest(command="synth", inputs={}, seed=7,
+                               configs={"synth": {"seed": 7}}, out_dir="out",
+                               tool_version="0.1.0").document(), path)
 
 
 def write_sidecar(path):
-    save_dataset(tiny_dataset(), path.with_suffix(".csv"), path, manifest_hash=H)
+    artifact.write(_stamped(dataset_csv(tiny_dataset()), H), path.with_suffix(".csv"))
+    artifact.write(_stamped(dataset_sidecar(tiny_dataset()), H), path)
 
 
 def write_truth(path):
     truth = SynthTruth(mean=np.array([0.5]), components=np.array([[1.0]]),
                        weights=np.array([[0.25]]), weight_scales=np.array([1.5]))
-    artifact.write({**truth.to_json_dict(), "manifest_hash": H}, path)
+    artifact.write(_stamped(truth.to_json_dict(), H), path)
 
 
 WRITERS = {
@@ -302,6 +307,25 @@ def test_pca_reader_names_a_bad_field(field, value, named):
     doc = {**json.loads(GOLDEN["pca_model"]), field: value}
     with pytest.raises(ValueError, match=named):
         pca_from_json(doc)
+
+
+@pytest.mark.parametrize("kind", ["pca_model", "predictive_plan", None])
+def test_writer_refuses_a_non_finite_number(kind, tmp_path):
+    """No reader takes one back, so a document holding one is not written."""
+    for value in (float("inf"), float("-inf"), float("nan")):
+        doc = artifact.document(kind, {"params": [[0.5, value]]})
+        with pytest.raises(ValueError) as err:
+            artifact.write(doc, tmp_path / "doc.json")
+        assert str(err.value) == f"{kind or 'JSON'} document holds a non-finite number"
+    assert not any(tmp_path.iterdir())
+
+
+def test_reader_names_a_file_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ValueError) as err:
+        artifact.read(path, "pca_model")
+    assert str(err.value).startswith(f"{path}: invalid JSON (maximum recursion depth")
 
 
 def test_sidecar_has_no_kind():

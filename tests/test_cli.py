@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcast.cli import _intersection_from_config, main
 from flowcast.flowdata import (
@@ -222,6 +226,21 @@ def tree_bytes(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def tree_state(root: Path) -> dict:
+    """Every path under ``root``: a file's bytes, or None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def prepopulate(out: Path) -> dict:
+    """An out-dir holding an earlier run's files; returns its state."""
+    (out / "cache").mkdir(parents=True)
+    (out / "manifest.json").write_text("earlier run\n")
+    (out / "cache" / "bank_0123456789abcdef.json").write_text("{}\n")
+    (out / "keep.txt").write_text("kept")
+    return tree_state(out)
+
+
 def test_damaged_bank_cache_is_rebuilt(dataset_dir, tmp_path, capsys):
     out = tmp_path / "ctl"
     argv = ["control", "--input", str(dataset_dir / "flows.csv"), "--out-dir", str(out),
@@ -240,6 +259,7 @@ def test_damaged_bank_cache_is_rebuilt(dataset_dir, tmp_path, capsys):
     extra_key = json.loads(text)
     extra_key["models"][-1]["model"]["split"]["horizon"] = 3
     for damaged, why in ((text[: len(text) // 2], "invalid JSON"),  # truncated
+                         ("[" * 200_000, "invalid JSON"),  # nested too deeply to parse
                          (json.dumps(no_models), "'models'"),
                          (json.dumps(no_time), "'time'"),
                          (json.dumps(no_cutoff), "'cutoff_index' is missing"),
@@ -418,6 +438,9 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
     assert err.startswith("error:") and "'n_periods'" in err and err.count("\n") == 1
 
 
+CONTROL_ONE_DAY = ["control", "--segments", "3", "--window", "1", "--date", "2024-01-05"]
+
+
 @pytest.mark.parametrize("extra", [
     ["control", "--segments", "7", "--window", "3"],  # switch windows overlap
     ["control", "--segments", "3", "--window", "1", "--date", "2099-01-01"],
@@ -425,18 +448,59 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
     ["control", "--plan", "PLAN", "--window", "20"],
     ["segment", "--segments", "500"],
     ["segment", "--date", "2099-01-01"],
+    # each fails in its fit, after every input has been read
+    ["pca", "--n-components", "500"],
+    ["predict", "--date", "2024-01-04", "--n-components", "500"],
+    ["loocv", "--n-components", "500"],
+    [*CONTROL_ONE_DAY, "--n-components", "0"],
+    [*CONTROL_ONE_DAY, "--n-components", "500"],
+    ["pca", "--component-scale", "1e-320"],  # the exported weights overflow
+    # JSON nested too deeply to parse
+    ["control", "--plan", "DEEP"],
+    ["control", "--config", "DEEP"],
+    ["synth", "--config", "DEEP"],
+    ["pca", "--input", "DEEP_SIDECAR"],
 ])
 def test_failed_run_writes_nothing(extra, dataset_dir, tmp_path, capsys):
+    """A run that fails leaves its out-dir as it was: here one holding an
+    earlier run's files."""
     seg = tmp_path / "seg"
     assert main(["segment", "--input", str(dataset_dir / "flows.csv"),
                  "--segments", "3", "--out-dir", str(seg)]) == 0
     capsys.readouterr()
-    argv = [str(seg / "plan.json") if a == "PLAN" else a for a in extra]
+    deep = tmp_path / "deep"
+    deep.mkdir()
+    (deep / "flows.csv").write_bytes((dataset_dir / "flows.csv").read_bytes())
+    (deep / "flows.meta.json").write_text("[" * 200_000)
+    files = {"PLAN": seg / "plan.json", "DEEP": deep / "flows.meta.json",
+             "DEEP_SIDECAR": deep / "flows.csv"}
+    argv = [str(files.get(a, a)) for a in extra]
+    if "--input" not in argv:
+        argv += ["--input", str(dataset_dir / "flows.csv")]
     out = tmp_path / "out"
-    rc = main([*argv, "--input", str(dataset_dir / "flows.csv"), "--out-dir", str(out)])
+    before = prepopulate(out)
+    rc = main([*argv, "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error:") and err.count("\n") == 1, err
-    assert not out.exists() or not any(out.rglob("*"))
+    if any(a.startswith("DEEP") for a in extra):
+        assert err.startswith(f"error: {deep / 'flows.meta.json'}: invalid JSON"), err
+    assert tree_state(out) == before
+    fresh = tmp_path / "fresh"
+    assert main([*argv, "--out-dir", str(fresh)]) == 1 and not fresh.exists()
+
+
+def test_every_file_is_committed_with_the_manifest_last(dataset_dir, tmp_path, monkeypatch):
+    from flowcast import artifact
+
+    written, write = [], artifact.write
+    monkeypatch.setattr(artifact, "write",
+                        lambda content, path: written.append(Path(path)) or write(content, path))
+    out = tmp_path / "ctl"
+    assert main([*CONTROL_ONE_DAY, "--input", str(dataset_dir / "flows.csv"),
+                 "--n-components", "2", "--out-dir", str(out)]) == 0
+    assert written[-1] == out / "manifest.json"
+    assert sorted(written) == sorted(p for p in out.rglob("*") if p.is_file())
+    assert any(p.parent == out / "cache" for p in written)
 
 
 def test_default_control_on_the_readme_data_exits_1_writing_nothing(tmp_path, capsys):
@@ -671,3 +735,116 @@ def test_line_that_is_not_utf8_exits_1_naming_it(dataset_dir, tmp_path, capsys, 
         assert rc == 1, argv[0]
         err = capsys.readouterr().err
         assert err.startswith(f"error: {expected}") and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------- fuzz
+
+FUZZ_FLAGS = {
+    "synth": ["--seed", "--config"],
+    "pca": ["--n-components", "--component-scale", "--interval-minutes"],
+    "predict": ["--date", "--n-components", "--cutoff", "--predict-from",
+                "--predictor-stride", "--predicted-stride"],
+    "segment": ["--segments", "--overflow-penalty", "--date", "--interval-minutes"],
+    "loocv": ["--n-components", "--cutoff", "--predict-to", "--predicted-stride"],
+    "control": ["--plan", "--config", "--segments", "--window", "--n-components", "--date",
+                "--overflow-penalty"],
+}
+FUZZ_VALUES = {
+    "--seed": ["0", "3", "-1"],
+    "--config": ["CONFIG"],
+    "--plan": ["PLAN"],
+    "--n-components": ["-1", "0", "1", "2", "8", "9", "500"],
+    "--component-scale": ["1", "0.25", "1e-320", "1e308", "0", "nan"],
+    "--interval-minutes": ["60", "15", "7"],
+    "--date": ["2024-01-05", "2024-01-10", "2099-01-01", "all", "junk"],
+    "--cutoff": ["0", "1", "10", "23", "24"],
+    "--predict-from": ["1", "12", "24", "30"],
+    "--predict-to": ["11", "24", "25"],
+    "--predictor-stride": ["0", "1", "2", "7"],
+    "--predicted-stride": ["1", "3", "5"],
+    "--segments": ["0", "1", "2", "3", "25"],
+    "--window": ["0", "1", "2", "20"],
+    "--overflow-penalty": ["2", "0", "-1", "inf"],
+}
+FUZZ_BYTES = [b"", b",", b"\n", b"\r", b"-", b"0", b"9", b".", b"e", b" ", b'"', b"[",
+              b"{", b"}", b"x", b"\xff", b"1e400", b"NaN"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(dataset_dir, tmp_path_factory) -> dict:
+    """The inputs a fuzzed run mutates: the tiny dataset, its sidecar, a plan
+    for it and a config with each command's block."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    assert main(["segment", "--input", str(dataset_dir / "flows.csv"), "--segments", "3",
+                 "--out-dir", str(root)]) == 0
+    config = json.loads(write_synth_config(root / "config.json").read_text())
+    config["controller"] = {"clamp_predictions": True}
+    config["intersection"] = {"cycle_seconds": 90, "min_green_fraction": 0.1}
+    return {"flows.csv": (dataset_dir / "flows.csv").read_bytes(),
+            "flows.meta.json": (dataset_dir / "flows.meta.json").read_bytes(),
+            "plan.json": (root / "plan.json").read_bytes(),
+            "config.json": json.dumps(config).encode()}
+
+
+# Flags each command runs with unless drawn ones override them.
+FUZZ_DEFAULTS = {
+    "synth": ["--config", "CONFIG"],
+    "predict": ["--date", "2024-01-04"],
+    "control": ["--segments", "3", "--window", "1", "--date", "2024-01-05"],
+}
+
+
+@st.composite
+def fuzz_case(draw, inputs: dict) -> tuple[dict, list[str]]:
+    """Inputs with at most one of them mutated (one span of its bytes
+    replaced, nested too deeply, or, for the sidecar, missing), and a
+    command line."""
+    files = dict(inputs)
+    name = draw(st.sampled_from([None, *sorted(inputs)]))
+    if name is not None:
+        how = draw(st.sampled_from(["splice", "splice", "splice", "deep", "missing"]))
+        if how == "splice":
+            content = inputs[name]
+            at = draw(st.integers(0, len(content)))
+            cut = draw(st.integers(0, 8))
+            files[name] = content[:at] + draw(st.sampled_from(FUZZ_BYTES)) + content[at + cut:]
+        elif how == "deep" and name != "flows.csv":
+            files[name] = b"[" * 100_000
+        elif how == "missing" and name == "flows.meta.json":
+            del files[name]
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command, *FUZZ_DEFAULTS.get(command, [])]
+    for flag in draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), unique=True, max_size=4)):
+        argv += [flag, draw(st.sampled_from(FUZZ_VALUES[flag]))]
+    return files, argv
+
+
+@given(data=st.data())
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+def test_cli_fuzz(fuzz_inputs, tmp_path_factory, data):
+    """Mutated inputs and flags: every run exits 0, 1 or 2.  A failure prints
+    one ``error:`` or ``i/o error:`` line after any ``warning:`` lines and
+    leaves a pre-populated out-dir as it was; a success reruns into the same
+    out-dir byte for byte."""
+    files, argv = data.draw(fuzz_case(fuzz_inputs))
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, content in files.items():
+        (root / name).write_bytes(content)
+    paths = {"CONFIG": root / "config.json", "PLAN": root / "plan.json"}
+    argv = [str(paths.get(a, a)) for a in argv]
+    argv += ["--input", str(root / "flows.csv"), "--out-dir", str(root / "out")]
+    before = prepopulate(root / "out")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    if rc:
+        *warned, last = err.getvalue().splitlines()
+        assert all(line.startswith("warning: ") for line in warned), (argv, err.getvalue())
+        assert last.startswith("error: " if rc == 1 else "i/o error: "), (argv, last)
+        assert tree_state(root / "out") == before, argv
+        return
+    after = tree_state(root / "out")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert tree_state(root / "out") == after, argv

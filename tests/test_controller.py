@@ -26,7 +26,7 @@ from flowcast import (
     t_opt,
     vector_to_grid,
 )
-from flowcast import delay, mean_profile, segment_cost
+from flowcast import artifact, controller, delay, mean_profile, segment_cost
 from flowcast.controller import (
     PredictivePlan, evaluate_days, plan_horizons, validate_windows,
 )
@@ -400,6 +400,28 @@ def test_bank_miss_is_reported(small):
         run_controller(nominal, ds.day_grid(0), narrow, wide, CFG)
 
 
+@pytest.mark.parametrize("n_components", [0, 24, 500])
+def test_bank_component_count_outside_range_is_rejected_before_any_gram(small, n_components,
+                                                                        monkeypatch):
+    """The rule and message of ``fit_pls_kernel``, for the 24 days of ``small``."""
+    ds, _ = small
+    profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
+    nominal = optimal_segmentation(profile, 3, CFG)
+
+    def no_gram(x):
+        raise AssertionError("a Gram was formed")
+
+    monkeypatch.setattr(controller, "gram", no_gram)
+    message = f"n_components={n_components} outside [1, 23] for 24 days"
+    with pytest.raises(ValueError) as err:
+        build_model_bank(ds, nominal, ControllerConfig(window_halfwidth=1), n_components)
+    assert str(err.value) == message
+    z, y = split_at(ds, SplitSpec(cutoff_index=10, predict_from=11, predict_to=20))
+    with pytest.raises(ValueError) as err:
+        fit_pls_kernel(z, y, n_components)
+    assert str(err.value) == message
+
+
 def test_bank_rejects_mismatched_split(small):
     ds, _ = small
     spec = SplitSpec(cutoff_index=10, predict_from=11, predict_to=20)
@@ -417,7 +439,7 @@ def test_bank_json_round_trip(small, tmp_path):
     cfg = ControllerConfig(window_halfwidth=1)
     bank = build_model_bank(ds, nominal, cfg, n_components=2)
     path = tmp_path / "bank.json"
-    bank.to_json(path)
+    artifact.write(bank.to_json(), path)
     back = PlsModelBank.from_json(path)
     assert back.n_models == bank.n_models
     assert back.horizons == bank.horizons

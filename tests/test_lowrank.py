@@ -9,6 +9,7 @@ from flowcast import (
     project,
     reconstruct,
 )
+from flowcast import artifact
 from flowcast.flowdata import DayRecord
 from flowcast.lowrank import pca_from_json, pca_to_json
 
@@ -109,7 +110,8 @@ def test_fit_pca_bounds(small):
 def test_json_round_trip_applies_component_scale(small, tmp_path):
     ds, _ = small
     model = fit_pca(center(ds), n_components=3, component_scale=250.0)
-    doc = pca_to_json(model, tmp_path / "pca.json")
+    doc = pca_to_json(model)
+    artifact.write(doc, tmp_path / "pca.json")
     exported = np.array(doc["components"])
     assert np.allclose(exported, model.components * 250.0)
     assert np.allclose(np.array(doc["weights"]), model.weights / 250.0)

@@ -14,7 +14,7 @@ from flowcast import (
     predict,
     split_at,
 )
-from flowcast import pls
+from flowcast import artifact, pls
 from flowcast.flowdata import DayRecord, FlowDataset
 from flowcast.pls import LoocvRecord, pls_from_json, pls_to_json
 
@@ -343,7 +343,7 @@ def test_json_round_trip(rng, tmp_path):
     # the spec is about day intervals, irrelevant to raw arrays; keep metadata only
     model = fit_pls_kernel(z, y, 3, split=spec)
     path = tmp_path / "pls.json"
-    pls_to_json(model, path)
+    artifact.write(pls_to_json(model), path)
     back = pls_from_json(path)
     assert back.split == spec
     assert np.allclose(back.predictor_loadings, model.predictor_loadings, atol=0)

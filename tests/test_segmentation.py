@@ -15,7 +15,7 @@ from flowcast import (
     optimal_segmentation,
     segment_cost,
 )
-from flowcast import segmentation
+from flowcast import artifact, segmentation
 from flowcast.segmentation import plan_from_json, plan_to_json
 
 from _oracles import brute_force_plan, grid_minimize_1d, per_window_cost_table
@@ -358,7 +358,8 @@ def test_plan_json_round_trip(tmp_path, rng):
     x = rng.uniform(0, 90, size=(96, 3))
     plan = optimal_segmentation(x, 4, CFG2, interval_minutes=15)
     path = tmp_path / "plan.json"
-    doc = plan_to_json(plan, path)
+    doc = plan_to_json(plan)
+    artifact.write(doc, path)
     assert doc["kind"] == "segmentation_plan"
     hhmm = doc["switch_times_hhmm"]
     assert hhmm == [f"{t * 15 // 60:02d}:{t * 15 % 60:02d}" for t in plan.switch_times]
