@@ -95,11 +95,17 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _load_config(path: str | None) -> dict:
+    """The config object at ``path``, which may hold only the blocks
+    ``synth`` and ``intersection`` (``{}`` without a path)."""
     if not path:
         return {}
     doc = artifact.load(path)
     if not isinstance(doc, dict):
         raise ValidationError("config file must hold a JSON object")
+    unknown = sorted(set(doc) - {"synth", "intersection"})
+    if unknown:
+        raise ValidationError(f"unknown config block(s) {', '.join(map(repr, unknown))}; "
+                              f"a config holds only 'synth' and 'intersection'")
     return doc
 
 
@@ -188,7 +194,7 @@ def cmd_synth(args) -> int:
 
 def cmd_pca(args) -> int:
     ds = _load_input(args)
-    model = fit_pca(center(ds), args.n_components, component_scale=args.component_scale)
+    model = fit_pca(center(ds), args.n_components)
     fractions = explained_variance(model)
     header = ["date"] + [f"w{i + 1}" for i in range(model.n_components)]
     rows = [
@@ -196,8 +202,7 @@ def cmd_pca(args) -> int:
         for i, rec in enumerate(ds.days)
     ]
     _commit(args, {"input": str(args.input)},
-            {"pca": {"n_components": args.n_components,
-                     "component_scale": args.component_scale}},
+            {"pca": {"n_components": args.n_components}},
             {"pca_model.json": pca_to_json(model),
              "explained_variance.csv": _csv(
                  ["component", "fraction"],
@@ -354,9 +359,7 @@ def cmd_control(args) -> int:
     ds = _load_input(args)
     config = _load_config(args.config)
     fit_cfg = FitConfig(overflow_penalty=args.overflow_penalty)
-    with _typed_values("controller"):
-        ctrl_cfg = ControllerConfig(window_halfwidth=args.window,
-                                    **_config_block(config, "controller", ["clamp_predictions"]))
+    ctrl_cfg = ControllerConfig(window_halfwidth=args.window)
     ic = _intersection_from_config(ds, config)
 
     if args.plan:
@@ -393,8 +396,7 @@ def cmd_control(args) -> int:
     _commit(args, {"input": str(args.input), "plan": args.plan or "", "date": args.date},
             {"segmentation": {"segments": plan.n_periods,
                               "overflow_penalty": args.overflow_penalty},
-             "controller": {"window_halfwidth": ctrl_cfg.window_halfwidth,
-                            "clamp_predictions": ctrl_cfg.clamp_predictions},
+             "controller": {"window_halfwidth": ctrl_cfg.window_halfwidth},
              "pls": {"n_components": args.n_components},
              "intersection": config.get("intersection", {})},
             artifacts, cache=cache)
@@ -413,7 +415,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--input", help="input flows CSV (sidecar auto-detected)")
     common.add_argument("--out-dir", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--config", help="JSON config file with per-command blocks")
+    common.add_argument("--config", help="JSON config file with 'synth' and "
+                                         "'intersection' blocks")
     common.add_argument("--interval-minutes", type=int, default=15,
                         help="interval length when no sidecar is present")
 
@@ -433,7 +436,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pca", parents=[common], help="fit the low-rank day model")
     p.add_argument("--n-components", type=int, default=4)
-    p.add_argument("--component-scale", type=float, default=1.0)
     p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("predict", parents=[common, split_flags],

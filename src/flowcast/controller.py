@@ -41,13 +41,10 @@ class ControllerMode(enum.Enum):
 class ControllerConfig:
     window_halfwidth: int = 3
     mode: ControllerMode = ControllerMode.SEGMENTATION_AND_PARAMS
-    clamp_predictions: bool = True
 
     def __post_init__(self) -> None:
         if self.window_halfwidth < 0:
             raise ValueError("window_halfwidth must be >= 0")
-        if not isinstance(self.clamp_predictions, bool):
-            raise TypeError("clamp_predictions must be true or false")
 
 
 def segment_window(tau: int, halfwidth: int, n_intervals: int) -> list[int]:
@@ -272,8 +269,8 @@ def run_controller(nominal: SegmentationPlan, day_grid: np.ndarray, bank,
 
     ``bank`` provides ``predict_window(period, t, horizon_end, measured)`` and
     ``prediction_id``.  The first period's parameters are taken from the
-    nominal plan as-is.  Predictions are clamped at zero before evaluation
-    when the config says so.  Deterministic: equal inputs give equal output.
+    nominal plan as-is.  Predictions are clamped at zero before evaluation.
+    Deterministic: equal inputs give equal output.
     """
     day = np.asarray(day_grid, dtype=float)
     t_total = nominal.n_intervals
@@ -294,7 +291,7 @@ def run_controller(nominal: SegmentationPlan, day_grid: np.ndarray, bank,
                     f"bank returned shape {y_hat.shape}, expected ({horizon - t}, {m})"
                 )
             y_abs = np.zeros((horizon, m))
-            y_abs[t:] = np.maximum(y_hat, 0.0) if cfg.clamp_predictions else y_hat
+            y_abs[t:] = np.maximum(y_hat, 0.0)
             u = t_opt(t, window, y_abs, params[i - 1], horizon, fit_cfg, cfg.mode,
                       mu_next=np.asarray(nominal.params[i]))
             log.append({

@@ -38,10 +38,6 @@ class PcaModel:
         Sum over *all* singular values of the centered matrix, stored at fit
         time so explained-variance fractions remain well defined after
         truncation.
-    component_scale : float
-        Cosmetic display scale.  Stored arrays are unscaled; the scale is
-        applied on JSON export only (components multiplied, weights divided),
-        so reconstructions are invariant to it.
     """
 
     mean: np.ndarray
@@ -49,7 +45,6 @@ class PcaModel:
     weights: np.ndarray
     singular_values: np.ndarray
     singular_value_sum: float
-    component_scale: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("mean", "components", "weights", "singular_values"):
@@ -63,10 +58,6 @@ class PcaModel:
         s = self.singular_values
         if np.any(np.diff(s) > 0):
             raise ValueError("singular values must be non-increasing")
-        if self.component_scale <= 0:
-            raise ValueError("component_scale must be positive")
-        if not np.isfinite(self.component_scale):
-            raise ValueError("component_scale must be finite")
 
     @property
     def n_components(self) -> int:
@@ -84,7 +75,7 @@ def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, vt
 
 
-def fit_pca(cm: CenteredMatrix, n_components: int, component_scale: float = 1.0) -> PcaModel:
+def fit_pca(cm: CenteredMatrix, n_components: int) -> PcaModel:
     """Fit the rank-``n_components`` decomposition of a centered day matrix.
 
     Parameters
@@ -93,8 +84,6 @@ def fit_pca(cm: CenteredMatrix, n_components: int, component_scale: float = 1.0)
         Centered dataset from :func:`flowcast.flowdata.center`.
     n_components : int
         Number of components to retain, ``1 <= n <= min(D, T*M)``.
-    component_scale : float
-        Cosmetic export scale recorded on the model (default 1).
 
     Returns
     -------
@@ -114,7 +103,6 @@ def fit_pca(cm: CenteredMatrix, n_components: int, component_scale: float = 1.0)
         weights=u[:, :n_components] * s[:n_components],
         singular_values=s[:n_components],
         singular_value_sum=float(s.sum()),
-        component_scale=component_scale,
     )
 
 
@@ -148,36 +136,23 @@ def reconstruct(model: PcaModel, weights: np.ndarray) -> np.ndarray:
 
 
 def pca_to_json(model: PcaModel) -> dict:
-    """A model as a versioned JSON document.
-
-    The cosmetic ``component_scale`` is applied here: exported components are
-    multiplied by it and exported weights divided, so plotted component curves
-    match display conventions while ``weights @ components.T`` is unchanged.
-    A value the scale overflows is left infinite, which ``artifact.render`` refuses.
-    """
-    scale = model.component_scale
-    with np.errstate(over="ignore"):
-        return artifact.document("pca_model", {
-            "mean": model.mean.tolist(),
-            "components": (model.components * scale).tolist(),
-            "weights": (model.weights / scale).tolist(),
-            "singular_values": model.singular_values.tolist(),
-            "singular_value_sum": model.singular_value_sum,
-            "component_scale": scale,
-        })
+    """A model as a versioned JSON document."""
+    return artifact.document("pca_model", {
+        "mean": model.mean.tolist(),
+        "components": model.components.tolist(),
+        "weights": model.weights.tolist(),
+        "singular_values": model.singular_values.tolist(),
+        "singular_value_sum": model.singular_value_sum,
+    })
 
 
 def pca_from_json(source: str | Path | dict) -> PcaModel:
     """Load a model serialized by :func:`pca_to_json`."""
     doc = artifact.read(source, "pca_model")
-    scale = artifact.number(doc, "component_scale")
-    if not 0 < scale < np.inf:
-        raise ValueError("document field 'component_scale' must be positive and finite")
     return PcaModel(
         mean=artifact.array(doc, "mean", 1),
-        components=artifact.array(doc, "components", 2) / scale,
-        weights=artifact.array(doc, "weights", 2) * scale,
+        components=artifact.array(doc, "components", 2),
+        weights=artifact.array(doc, "weights", 2),
         singular_values=artifact.array(doc, "singular_values", 1),
         singular_value_sum=artifact.number(doc, "singular_value_sum"),
-        component_scale=scale,
     )

@@ -12,10 +12,10 @@ deflates and repeats.  Each iteration:
 
 Prediction for a new sample z is ``(z - z_mean) @ pinv(P.T) @ C.T + y_mean``.
 
-Two fit routes share this contract: :func:`fit_pls` forms the cross-product
-matrix explicitly, while :func:`fit_pls_kernel` works only with the day-by-day
-kernel matrices ``Zc @ Zc.T`` and ``Yc @ Yc.T``, which is much cheaper when
-days are scarce relative to intervals.  The score equals the leading
+:func:`fit_pls_kernel` never forms the cross-product matrix: it works only
+with the day-by-day kernel matrices ``Zc @ Zc.T`` and ``Yc @ Yc.T``, which is
+much cheaper when days are scarce relative to intervals (the kernel algorithm
+of Lindgren, Geladi and Wold 1993).  The score equals the leading
 eigenvector of ``Kz @ Ky``, found by power iteration.  :func:`loocv` runs the
 same iteration on the fold blocks of one pair of Gram matrices per dataset.
 
@@ -48,13 +48,13 @@ import numpy as np
 from . import artifact
 from .flowdata import FlowDataset, SplitSpec, split_at
 
-# Power iteration controls (kernel route).
+# Power iteration controls.
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 10_000
 _RESTART_SEED = 0x5EED
 
-# Both fit routes drop a direction whose score norm is at most this fraction
-# of the centered predictors' norm: above deflation residue, which scores near
+# A fit drops a direction whose score norm is at most this fraction of the
+# centered predictors' norm: above deflation residue, which scores near
 # sqrt(eps) = 1.5e-8 of it, and below real components of noisy data (>1.8e-5).
 _DEGENERATE_REL = 1e-6
 
@@ -142,80 +142,11 @@ def _model(w, p, c, mean_z, mean_y, split, dropped, z_res, y_res) -> PlsModel:
     )
 
 
-def _stop(i: int, n_components: int, stacklevel: int) -> int:
-    """Warn that the drop rule stopped the fit after ``i`` of
-    ``n_components`` components; ``stacklevel`` counts from the caller, as in
-    ``warnings.warn``.  Returns the number dropped."""
-    dropped = n_components - i
-    warnings.warn(f"stopping after {i} components: no covariance direction left "
-                  f"({dropped} dropped)", stacklevel=stacklevel + 1)
-    return dropped
-
-
 def check_components(n_components: int, n_days: int) -> None:
     """A fit on ``n_days`` days takes 1 to ``n_days - 1`` components, else ``ValueError``."""
     if not (1 <= n_components <= n_days - 1):
         raise ValueError(f"n_components={n_components} outside [1, {n_days - 1}] "
                          f"for {n_days} days")
-
-
-def _centered_fit_args(z, y, n_components):
-    """Checked fit arguments, centered: ``(zc, yc, mean_z, mean_y)``."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if z.ndim != 2 or y.ndim != 2:
-        raise ValueError("Z and Y must be 2-D (days x features)")
-    if z.shape[0] != y.shape[0]:
-        raise ValueError(f"Z has {z.shape[0]} days but Y has {y.shape[0]}")
-    d = z.shape[0]
-    if d < 2:
-        raise ValueError("fitting requires at least 2 days")
-    check_components(n_components, d)
-    mean_z, mean_y = z.mean(axis=0), y.mean(axis=0)
-    return z - mean_z, y - mean_y, mean_z, mean_y
-
-
-def fit_pls(z: np.ndarray, y: np.ndarray, n_components: int,
-            split: SplitSpec | None = None) -> PlsModel:
-    """Fit by explicitly forming the cross-product matrix each iteration.
-
-    Parameters
-    ----------
-    z : (D, dim_z) array of predictor samples, one day per row.
-    y : (D, dim_y) array of predicted samples.
-    n_components : int in [1, D-1].
-    split : optional SplitSpec recorded on the model.
-
-    Returns
-    -------
-    PlsModel — with fewer than ``n_components`` components (and a warning)
-    if deflation runs out of covariance directions early.
-    """
-    zc, yc, mean_z, mean_y = _centered_fit_args(z, y, n_components)
-    z_scale = np.linalg.norm(zc)
-
-    omegas, ps, cs = [], [], []
-    dropped = 0
-    for i in range(n_components):
-        cross = zc.T @ yc
-        u, s, _vt = np.linalg.svd(cross, full_matrices=False)
-        r = u[:, 0]
-        t_raw = zc @ r
-        norm = np.linalg.norm(t_raw)
-        if norm <= _DEGENERATE_REL * z_scale or s[0] == 0.0:
-            dropped = _stop(i, n_components, stacklevel=2)
-            break
-        omega = t_raw / norm
-        p, c = zc.T @ omega, yc.T @ omega
-        omegas.append(omega)
-        ps.append(p)
-        cs.append(c)
-        zc = zc - np.outer(omega, p)
-        yc = yc - np.outer(omega, c)
-
-    return _model(_columns(omegas, zc.shape[0]), _columns(ps, zc.shape[1]),
-                  _columns(cs, yc.shape[1]), mean_z, mean_y, split, dropped,
-                  np.linalg.norm(zc), np.linalg.norm(yc))
 
 
 def _power_leading_score(kz: np.ndarray, ky: np.ndarray,
@@ -311,11 +242,13 @@ def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int, z_scale: f
         omega, _lam = _power_leading_score(kz_cur, ky_cur, tiny)
         if omega is not None:
             kz_omega = omega @ kz_cur
-            # Measured on the deflated kernel, like the direct route's score.
+            # On the deflated kernel, the norm of the unnormalized score ``Zc r``.
             if np.sqrt(max(omega @ kz_omega, 0.0)) <= _DEGENERATE_REL * z_scale:
                 omega = None
         if omega is None:
-            dropped = _stop(i, n_components, stacklevel=3)
+            dropped = n_components - i
+            warnings.warn(f"stopping after {i} components: no covariance direction "
+                          f"left ({dropped} dropped)", stacklevel=3)
             break
         omegas.append(omega)
         if residuals or i + 1 < n_components:
@@ -330,7 +263,7 @@ def _kernel_scores(kz: np.ndarray, ky: np.ndarray, n_components: int, z_scale: f
 def fit_kernels(kz: np.ndarray, ky: np.ndarray, n_components: int, loadings,
                 mean_z: np.ndarray, mean_y: np.ndarray,
                 split: SplitSpec | None = None) -> PlsModel:
-    """The kernel-route fit from the centered kernels ``kz`` and ``ky``.
+    """The fit from the centered kernels ``kz`` and ``ky``.
 
     ``loadings(W)`` returns the products ``(Zc^T W, Yc^T W)`` of the centered
     predictors and targets with the (D, n) scores; loadings from the
@@ -346,14 +279,27 @@ def fit_kernels(kz: np.ndarray, ky: np.ndarray, n_components: int, loadings,
 
 def fit_pls_kernel(z: np.ndarray, y: np.ndarray, n_components: int,
                    split: SplitSpec | None = None) -> PlsModel:
-    """Fit via day-by-day kernel matrices; contract identical to :func:`fit_pls`.
+    """Fit predictors ``z`` (D, dim_z) to targets ``y`` (D, dim_y), one day
+    per row, with ``n_components`` in [1, D-1]; ``split`` is recorded on the
+    model.  The model has fewer components, with a warning, when deflation
+    runs out of covariance directions early.
 
     The (dim_z x dim_y) cross-product matrix is never formed.  Scores come
     from power iteration on ``Kz @ Ky`` (both D x D); deflation projects the
     kernels onto the orthogonal complement of each score.  See
     :func:`fit_kernels`.
     """
-    zc, yc, mean_z, mean_y = _centered_fit_args(z, y, n_components)
+    z = np.asarray(z, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if z.ndim != 2 or y.ndim != 2:
+        raise ValueError("Z and Y must be 2-D (days x features)")
+    if z.shape[0] != y.shape[0]:
+        raise ValueError(f"Z has {z.shape[0]} days but Y has {y.shape[0]}")
+    if z.shape[0] < 2:
+        raise ValueError("fitting requires at least 2 days")
+    check_components(n_components, z.shape[0])
+    mean_z, mean_y = z.mean(axis=0), y.mean(axis=0)
+    zc, yc = z - mean_z, y - mean_y
     return fit_kernels(gram(zc), gram(yc), n_components,
                        lambda w: (_project(zc, w), _project(yc, w)), mean_z, mean_y, split)
 

@@ -430,7 +430,8 @@ def optimal_segmentation(x: np.ndarray, n_periods: int, cfg: FitConfig,
     within the margin of states reachable from the first state through such
     windows are recomputed with ``_window_cost``, batched by length, and the
     program runs again: each state it walks then takes the exact value and
-    the exact first winner.
+    the exact first winner.  A penalty so large that a window cost or E'
+    is not finite is a ``ValueError``.
     """
     x = _check_grid(x)
     t = x.shape[0]
@@ -438,16 +439,20 @@ def optimal_segmentation(x: np.ndarray, n_periods: int, cfg: FitConfig,
         raise ValueError(f"n_periods must be an integer, got {n_periods!r}")
     if not (1 <= n_periods <= t):
         raise ValueError(f"n_periods={n_periods} outside [1, {t}]")
-    if costs is None:
-        costs = cost_table(x, cfg)
-    elif np.shape(costs) != (t + 1, t + 1):
+    if costs is not None and np.shape(costs) != (t + 1, t + 1):
         raise ValueError(f"cost table of shape {np.shape(costs)} does not fit a grid "
                          f"of {t} intervals, whose table has shape {(t + 1, t + 1)}")
-    table = np.array(costs, dtype=float)
+    # An overflow on the way, or a window cost that is not finite, leaves the
+    # slack non-finite, and that is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.array(cost_table(x, cfg) if costs is None else costs, dtype=float)
+        finite = table[np.isfinite(table)]
+        slack = (_cost_bound(x, table, cfg.overflow_penalty).max()
+                 + np.finfo(float).eps * finite.max(initial=0.0))
+    if not np.isfinite(slack):
+        raise ValueError(f"overflow_penalty={cfg.overflow_penalty:g} is too large for these "
+                         f"flows: a window cost or its rounding bound is not finite")
     best, _ = _suffix_dp(table, n_periods)
-    finite = table[np.isfinite(table)]
-    slack = (_cost_bound(x, table, cfg.overflow_penalty).max()
-             + np.finfo(float).eps * finite.max(initial=0.0))
     a, b = _near_best_windows(table, best, 3 * n_periods * slack)
     exact, _ = _exact_windows(np.ascontiguousarray(x.T), a - 1, b - a + 1,
                               cfg.overflow_penalty)

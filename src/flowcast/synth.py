@@ -67,7 +67,6 @@ class SynthConfig:
     n_components: int = 4
     noise_sigma: float = 10.0
     anomaly_days: tuple[tuple[int, tuple[float, ...]], ...] = ()
-    mean_profile_shape: str = "bimodal_commute"
     start_date: str = "2024-01-01"
 
     def __post_init__(self) -> None:
@@ -87,8 +86,6 @@ class SynthConfig:
             raise ValueError("n_components outside [1, min(n_days - 1, 8)]")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
-        if self.mean_profile_shape not in ("bimodal_commute", "flat"):
-            raise ValueError(f"unknown mean_profile_shape {self.mean_profile_shape!r}")
         try:
             DayRecord(self.start_date)
             _date.fromisoformat(self.start_date) + timedelta(days=self.n_days - 1)
@@ -151,15 +148,12 @@ def _mean_grid(cfg: SynthConfig, hours: np.ndarray, rng: np.random.Generator) ->
     for j, label in enumerate(labels):
         turn = label.split()[-1] if " " in label else "T"
         factor = _TURN_FACTOR.get(turn, 0.8)
-        if cfg.mean_profile_shape == "flat":
-            grid[:, j] = base[j] * factor + 60.0
-        else:
-            grid[:, j] = factor * (
-                base[j]
-                + day_amp[j] * _plateau(hours)
-                + am_amp[j] * _bump(hours, 7.6, 1.1)
-                + pm_amp[j] * _bump(hours, 17.2, 1.4)
-            )
+        grid[:, j] = factor * (
+            base[j]
+            + day_amp[j] * _plateau(hours)
+            + am_amp[j] * _bump(hours, 7.6, 1.1)
+            + pm_amp[j] * _bump(hours, 17.2, 1.4)
+        )
     return grid
 
 

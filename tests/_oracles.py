@@ -15,7 +15,8 @@ from flowcast.delay import (_GOLDEN, _MAX_SWEEPS, _SWEEP_TOL, SCENARIOS, DelayRe
                             simulate_day)
 from flowcast.flowdata import (CSV_HEADER, DayRecord, FlowDataset, ValidationError,
                                _split_grid, day_of_week_tag, split_at)
-from flowcast.pls import LoocvRecord, fit_pls_kernel, predict
+from flowcast.pls import (_DEGENERATE_REL, LoocvRecord, _columns, _model, fit_pls_kernel,
+                          predict)
 
 
 def brute_force_plan(x, n_periods, cfg):
@@ -376,6 +377,40 @@ def rowwise_read_sample(path, ds, spec):
             grid[0, m, t - 1] = day[(movement, t)]
     z, _ = _split_grid(grid, spec)
     return date_label, z[0]
+
+
+def fit_pls(z, y, n_components, split=None):
+    """The direct PLS fit that ``fit_pls_kernel`` must match: each component
+    takes the leading left singular vector ``r`` of the explicit
+    cross-product ``Zc.T @ Yc``, the unit score ``w = Zc r / ||Zc r||`` and
+    the loadings ``Zc.T w`` and ``Yc.T w``, then deflates both matrices.
+    The same drop rule stops it, with the same warning, and the same sign
+    step orders the model."""
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    mean_z, mean_y = z.mean(axis=0), y.mean(axis=0)
+    zc, yc = z - mean_z, y - mean_y
+    z_scale = np.linalg.norm(zc)
+    omegas, ps, cs = [], [], []
+    dropped = 0
+    for i in range(n_components):
+        u, s, _vt = np.linalg.svd(zc.T @ yc, full_matrices=False)
+        t_raw = zc @ u[:, 0]
+        norm = np.linalg.norm(t_raw)
+        if norm <= _DEGENERATE_REL * z_scale or s[0] == 0.0:
+            dropped = n_components - i
+            warnings.warn(f"stopping after {i} components: no covariance direction "
+                          f"left ({dropped} dropped)", stacklevel=2)
+            break
+        omega = t_raw / norm
+        p, c = zc.T @ omega, yc.T @ omega
+        omegas.append(omega)
+        ps.append(p)
+        cs.append(c)
+        zc = zc - np.outer(omega, p)
+        yc = yc - np.outer(omega, c)
+    return _model(_columns(omegas, zc.shape[0]), _columns(ps, zc.shape[1]),
+                  _columns(cs, yc.shape[1]), mean_z, mean_y, split, dropped,
+                  np.linalg.norm(zc), np.linalg.norm(yc))
 
 
 def refit_loocv(ds, spec, n_components):

@@ -19,7 +19,6 @@ from flowcast import (
     SplitSpec,
     SynthConfig,
     build_model_bank,
-    fit_pls,
     fit_pls_kernel,
     fit_value,
     generate,
@@ -38,7 +37,7 @@ from flowcast import (
 from flowcast.cli import main as cli_main
 from flowcast.controller import segment_window, t_opt
 
-from _oracles import brute_force_plan, grid_minimize_1d, joint_switch_and_params
+from _oracles import brute_force_plan, fit_pls, grid_minimize_1d, joint_switch_and_params
 
 CFG2 = FitConfig(overflow_penalty=2.0)
 

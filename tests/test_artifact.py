@@ -40,10 +40,10 @@ PLS_FIELDS = ('"mean_y": [0.25, 1.5], "mean_z": [2.0], "n_dropped": 1, '
 
 GOLDEN = {
     "pca_model": (
-        '{"component_scale": 2.0, "components": [[2.0], [0.0]], "format_version": 1, '
+        '{"components": [[1.0], [0.0]], "format_version": 1, '
         f'"kind": "pca_model", "manifest_hash": "{H}", "mean": [0.5, 1.25], '
         '"singular_value_sum": 1.25, "singular_values": [0.75], '
-        '"weights": [[0.25], [-0.25]]}\n'
+        '"weights": [[0.5], [-0.5]]}\n'
     ),
     "pls_model": (
         f'{{"format_version": 1, "kind": "pls_model", "manifest_hash": "{H}", '
@@ -197,7 +197,7 @@ def tiny_dataset() -> FlowDataset:
 def write_pca(path):
     model = PcaModel(mean=[0.5, 1.25], components=[[1.0], [0.0]],
                      weights=[[0.5], [-0.5]], singular_values=[0.75],
-                     singular_value_sum=1.25, component_scale=2.0)
+                     singular_value_sum=1.25)
     artifact.write(_stamped(pca_to_json(model), H), path)
 
 
@@ -299,9 +299,10 @@ def test_reader_rejects_wrong_kind_version_and_truncation(kind, tmp_path):
 @pytest.mark.parametrize("field, value, named", [
     ("mean", None, "'mean' must be a 1-D array"),
     ("components", [[2.0], [float("nan")]], "'components' must be a 2-D array"),
-    ("component_scale", None, "'component_scale' must be a number"),
-    ("component_scale", 0.0, "'component_scale' must be positive"),
-    ("component_scale", float("inf"), "'component_scale' must be positive and finite"),
+    ("weights", [[0.5], [float("inf")]], "'weights' must be a 2-D array"),
+    ("singular_values", [[0.75]], "'singular_values' must be a 1-D array"),
+    ("singular_value_sum", None, "'singular_value_sum' must be a number"),
+    ("singular_value_sum", True, "'singular_value_sum' must be a number"),
 ])
 def test_pca_reader_names_a_bad_field(field, value, named):
     doc = {**json.loads(GOLDEN["pca_model"]), field: value}

@@ -14,12 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcast.cli import _intersection_from_config, main
-from flowcast.flowdata import (
-    CSV_HEADER, DayRecord, FlowDataset, SplitSpec, load_dataset, split_at,
-)
+from flowcast.cli import main
+from flowcast.flowdata import CSV_HEADER, SplitSpec, load_dataset, split_at
 from flowcast.pls import fit_pls_kernel, predict
-from flowcast.synth import movement_labels
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -398,7 +395,10 @@ def test_exit_codes(dataset_dir, tmp_path, capsys):
             ("synth", {"synth": {"n_days": "x"}}, "'synth'"),  # wrong type
             ("control", {"intersection": {"cycle_seconds": "x"}}, "'intersection'"),
             ("control", {"intersection": {"min_green_fraction": 0.0}}, "min_green"),
-            ("control", {"controller": {"clamp_predictions": "no"}}, "clamp_predictions"),
+            ("synth", {"synht": {"n_days": 10}}, "'synht'"),  # misspelled block
+            ("control", {"intersecton": {"cycle_seconds": 90},
+                         "controler": {"window_halfwidth": 1}}, "'controler', 'intersecton'"),
+            ("control", {"controller": {"clamp_predictions": True}}, "'controller'"),
             ("control", {"intersection": {"cycle_seconds": float("nan")}}, "cycle_seconds"),
             ("control", {"intersection": {"phases": [[1.5, 2], [0, 3]]}}, "phases"),
             ("synth", {"synth": {"noise_sigma": float("nan")}}, "noise_sigma"),
@@ -454,7 +454,9 @@ CONTROL_ONE_DAY = ["control", "--segments", "3", "--window", "1", "--date", "202
     ["loocv", "--n-components", "500"],
     [*CONTROL_ONE_DAY, "--n-components", "0"],
     [*CONTROL_ONE_DAY, "--n-components", "500"],
-    ["pca", "--component-scale", "1e-320"],  # the exported weights overflow
+    # a window cost's rounding bound overflows
+    ["segment", "--overflow-penalty", "1e308"],
+    [*CONTROL_ONE_DAY, "--overflow-penalty", "1e308"],
     # JSON nested too deeply to parse
     ["control", "--plan", "DEEP"],
     ["control", "--config", "DEEP"],
@@ -484,6 +486,8 @@ def test_failed_run_writes_nothing(extra, dataset_dir, tmp_path, capsys):
     assert rc == 1 and err.startswith("error:") and err.count("\n") == 1, err
     if any(a.startswith("DEEP") for a in extra):
         assert err.startswith(f"error: {deep / 'flows.meta.json'}: invalid JSON"), err
+    if "1e308" in extra:
+        assert err.startswith("error: overflow_penalty=1e+308 is too large"), err
     assert tree_state(out) == before
     fresh = tmp_path / "fresh"
     assert main([*argv, "--out-dir", str(fresh)]) == 1 and not fresh.exists()
@@ -582,15 +586,18 @@ def test_readme_data_format_header_matches_loader():
 
 
 def test_readme_config_block_is_accepted(tmp_path):
+    """``synth`` and a single-date ``control`` both run with the README's
+    config example, so a key it documents cannot drift from the code."""
     block = readme_block("### Config file", "json")
     cfg = tmp_path / "config.json"
     cfg.write_text(block)
-    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 0
-    ds = FlowDataset(days=(DayRecord("2024-01-01"), DayRecord("2024-01-02")),
-                     flows=np.zeros((2, 96 * 12)), interval_minutes=15,
-                     movements=movement_labels(12))
-    ic = _intersection_from_config(ds, json.loads(block))
-    assert ic.cycle_seconds == 120 and ic.n_phases == 4
+    data = tmp_path / "s"
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(data)]) == 0
+    assert main(["control", "--input", str(data / "flows.csv"), "--config", str(cfg),
+                 "--segments", "3", "--window", "1", "--date", "2024-01-05",
+                 "--n-components", "2", "--out-dir", str(tmp_path / "ctl")]) == 0
+    manifest = json.loads((tmp_path / "ctl" / "manifest.json").read_text())
+    assert manifest["configs"]["intersection"] == json.loads(block)["intersection"]
 
 
 # SHA-256 of the sorted ``sha256sum``-style listing of the tree the README
@@ -605,9 +612,14 @@ def test_readme_config_block_is_accepted(tmp_path):
 # when kernel PLS moved to rank-1 deflation, einsum Grams and one Gram pass
 # for the model bank, whose cache key gained the fit revision: that renamed
 # and moved the bank cache (at most 3.5e-12 relative per float) and moved one
-# float each of ``loocv_summary.json`` and the seg+params plan by 1 ulp.  It
-# holds at one and at two OpenBLAS threads.  A same-bytes refactor must keep it.
-README_TREE_SHA256 = "f086005565a2f57ba54018350bad2d446240a773f5d31a7a8418d316259580cc"
+# float each of ``loocv_summary.json`` and the seg+params plan by 1 ulp, and
+# once more when the options ``component_scale``, ``clamp_predictions`` and
+# ``mean_profile_shape`` were removed: the manifests no longer record them,
+# which moved every ``manifest_hash`` stamp of ``synth``, ``pca`` and
+# ``control`` (every file equals its old self with the hash and those keys
+# stripped).  It holds at one and at two OpenBLAS threads.  A same-bytes
+# refactor must keep it.
+README_TREE_SHA256 = "349384547771b8b3c205b40d1fab4ad34e7ee35594ec98ddd0f427edc22c98f8"
 
 
 def test_readme_sequence_tree_is_byte_identical(tmp_path, monkeypatch):
@@ -741,7 +753,7 @@ def test_line_that_is_not_utf8_exits_1_naming_it(dataset_dir, tmp_path, capsys, 
 
 FUZZ_FLAGS = {
     "synth": ["--seed", "--config"],
-    "pca": ["--n-components", "--component-scale", "--interval-minutes"],
+    "pca": ["--n-components", "--interval-minutes"],
     "predict": ["--date", "--n-components", "--cutoff", "--predict-from",
                 "--predictor-stride", "--predicted-stride"],
     "segment": ["--segments", "--overflow-penalty", "--date", "--interval-minutes"],
@@ -754,7 +766,6 @@ FUZZ_VALUES = {
     "--config": ["CONFIG"],
     "--plan": ["PLAN"],
     "--n-components": ["-1", "0", "1", "2", "8", "9", "500"],
-    "--component-scale": ["1", "0.25", "1e-320", "1e308", "0", "nan"],
     "--interval-minutes": ["60", "15", "7"],
     "--date": ["2024-01-05", "2024-01-10", "2099-01-01", "all", "junk"],
     "--cutoff": ["0", "1", "10", "23", "24"],
@@ -764,7 +775,7 @@ FUZZ_VALUES = {
     "--predicted-stride": ["1", "3", "5"],
     "--segments": ["0", "1", "2", "3", "25"],
     "--window": ["0", "1", "2", "20"],
-    "--overflow-penalty": ["2", "0", "-1", "inf"],
+    "--overflow-penalty": ["2", "0", "-1", "inf", "1e308"],
 }
 FUZZ_BYTES = [b"", b",", b"\n", b"\r", b"-", b"0", b"9", b".", b"e", b" ", b'"', b"[",
               b"{", b"}", b"x", b"\xff", b"1e400", b"NaN"]
@@ -778,7 +789,6 @@ def fuzz_inputs(dataset_dir, tmp_path_factory) -> dict:
     assert main(["segment", "--input", str(dataset_dir / "flows.csv"), "--segments", "3",
                  "--out-dir", str(root)]) == 0
     config = json.loads(write_synth_config(root / "config.json").read_text())
-    config["controller"] = {"clamp_predictions": True}
     config["intersection"] = {"cycle_seconds": 90, "min_green_fraction": 0.1}
     return {"flows.csv": (dataset_dir / "flows.csv").read_bytes(),
             "flows.meta.json": (dataset_dir / "flows.meta.json").read_bytes(),

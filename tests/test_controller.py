@@ -54,9 +54,9 @@ def test_segment_window_examples():
     assert segment_window(95, 3, 96) == [92, 93, 94, 95]
 
 
-def test_controller_config_rejects_a_clamp_that_is_not_a_bool():
-    with pytest.raises(TypeError, match="clamp_predictions must be true or false"):
-        ControllerConfig(clamp_predictions="no")
+def test_controller_config_rejects_a_negative_halfwidth():
+    with pytest.raises(ValueError, match="window_halfwidth must be >= 0"):
+        ControllerConfig(window_halfwidth=-1)
 
 
 def test_window_overlap_validation():
@@ -222,7 +222,7 @@ def test_evaluate_days_scores_both_modes_and_the_bound(small):
     profile = vector_to_grid(mean_profile(ds), ds.intervals_per_day, ds.n_movements)
     nominal = optimal_segmentation(profile, 4, CFG)
     bank = FixedProfileBank(ds.day_grid(2))
-    cfg = ControllerConfig(window_halfwidth=2, mode=SEG_ONLY, clamp_predictions=False)
+    cfg = ControllerConfig(window_halfwidth=2, mode=SEG_ONLY)
 
     def ic():
         return IntersectionConfig.default_for(
@@ -232,8 +232,7 @@ def test_evaluate_days_scores_both_modes_and_the_bound(small):
     assert [r.date for r, _, _ in results] == [ds.days[7].date, ds.days[0].date]
     for idx, (report, seg, seg_params) in zip((7, 0), results):
         day = ds.day_grid(idx)
-        want = [run_controller(nominal, day, bank,
-                               ControllerConfig(2, mode, clamp_predictions=False), CFG)
+        want = [run_controller(nominal, day, bank, ControllerConfig(2, mode), CFG)
                 for mode in (SEG_ONLY, SEG_PARAMS)]
         for got, plan in zip((seg, seg_params), want):
             assert got.switch_times == plan.switch_times and got.mode is plan.mode

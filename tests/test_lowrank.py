@@ -107,29 +107,13 @@ def test_fit_pca_bounds(small):
         fit_pca(cm, n_components=ds.n_days + 1)
 
 
-def test_json_round_trip_applies_component_scale(small, tmp_path):
+def test_json_round_trip(small, tmp_path):
     ds, _ = small
-    model = fit_pca(center(ds), n_components=3, component_scale=250.0)
-    doc = pca_to_json(model)
-    artifact.write(doc, tmp_path / "pca.json")
-    exported = np.array(doc["components"])
-    assert np.allclose(exported, model.components * 250.0)
-    assert np.allclose(np.array(doc["weights"]), model.weights / 250.0)
-    # scaled export times scaled weights reproduces the same reconstruction
+    model = fit_pca(center(ds), n_components=3)
+    artifact.write(pca_to_json(model), tmp_path / "pca.json")
     back = pca_from_json(tmp_path / "pca.json")
-    assert np.allclose(back.components, model.components, atol=1e-12)
-    assert np.allclose(back.weights, model.weights, atol=1e-12)
-    assert back.component_scale == 250.0
+    for name in ("mean", "components", "weights", "singular_values"):
+        assert np.array_equal(getattr(back, name), getattr(model, name)), name
+    assert back.singular_value_sum == model.singular_value_sum
     x = reconstruct(model, model.weights[5])
-    assert np.allclose(reconstruct(back, back.weights[5]), x, atol=1e-9)
-
-
-def test_component_scale_cosmetic_only(small):
-    ds, _ = small
-    cm = center(ds)
-    plain = fit_pca(cm, n_components=3)
-    scaled = fit_pca(cm, n_components=3, component_scale=97.0)
-    assert np.array_equal(plain.components, scaled.components)
-    assert np.array_equal(plain.weights, scaled.weights)
-    day = ds.flows[2]
-    assert np.array_equal(project(plain, day), project(scaled, day))
+    assert np.array_equal(reconstruct(back, back.weights[5]), x)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from flowcast import (
     SplitSpec,
-    fit_pls,
     fit_pls_kernel,
     loocv,
     predict,
@@ -18,7 +17,7 @@ from flowcast import artifact, pls
 from flowcast.flowdata import DayRecord, FlowDataset
 from flowcast.pls import LoocvRecord, pls_from_json, pls_to_json
 
-from _oracles import refit_loocv
+from _oracles import fit_pls, refit_loocv
 
 
 def random_instance(rng, d=12, dim_z=30, dim_y=18, rank=4, noise=0.05):
@@ -38,7 +37,7 @@ def assert_models_close(a, b, tol=1e-6):
     assert np.abs(a.scores - b.scores).max() < tol
 
 
-def test_direct_and_kernel_routes_agree(rng):
+def test_kernel_fit_matches_the_direct_oracle(rng):
     for trial in range(5):
         z, y = random_instance(rng, d=10 + trial, rank=3 + trial % 2)
         direct = fit_pls(z, y, 4)
@@ -115,7 +114,7 @@ def test_prediction_is_affine(rng):
 
 def test_predict_batch_matches_rowwise(rng):
     z, y = random_instance(rng)
-    model = fit_pls(z, y, 3)
+    model = fit_pls_kernel(z, y, 3)
     batch = predict(model, z[:5])
     assert batch.shape == (5, y.shape[1])
     for i in range(5):
@@ -184,14 +183,16 @@ def test_power_iteration_warns_only_when_the_restart_hits_the_cap(monkeypatch):
 
 def test_fit_argument_validation(rng):
     z, y = random_instance(rng, d=6)
-    with pytest.raises(ValueError):
-        fit_pls(z, y[:5], 2)
-    with pytest.raises(ValueError):
-        fit_pls(z, y, 0)
-    with pytest.raises(ValueError):
-        fit_pls(z, y, 6)  # needs n <= D - 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Z has 6 days but Y has 5"):
+        fit_pls_kernel(z, y[:5], 2)
+    with pytest.raises(ValueError, match="outside"):
+        fit_pls_kernel(z, y, 0)
+    with pytest.raises(ValueError, match="outside"):
+        fit_pls_kernel(z, y, 6)  # needs n <= D - 1
+    with pytest.raises(ValueError, match="2-D"):
         fit_pls_kernel(z[0], y[0], 1)
+    with pytest.raises(ValueError, match="at least 2 days"):
+        fit_pls_kernel(z[:1], y[:1], 1)
 
 
 def test_planted_split_prediction(noiseless):

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +354,18 @@ def test_optimal_segmentation_checks_its_inputs(rng):
             optimal_segmentation(x, bad, CFG2)
     plan = optimal_segmentation(x, np.int64(2), CFG2)
     assert plan.switch_times == optimal_segmentation(x, 2, CFG2).switch_times
+    # At 1e100 the window costs are finite but their rounding bound is not;
+    # at 1e308 the cost table's own arithmetic overflows.  Either way the
+    # plan is refused by name, without a floating-point warning.
+    for penalty in (1e100, 1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"overflow_penalty={penalty:g} is")):
+                optimal_segmentation(x, 2, FitConfig(overflow_penalty=penalty))
+    table = cost_table(x, CFG2)
+    table[2, 5] = np.inf  # a window cost that is not finite
+    with pytest.raises(ValueError, match="^overflow_penalty=2 is too large"):
+        optimal_segmentation(x, 2, CFG2, costs=table)
 
 
 def test_plan_json_round_trip(tmp_path, rng):

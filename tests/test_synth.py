@@ -90,13 +90,16 @@ def test_movement_labels_and_weight_scales():
     dict(n_components=0),
     dict(n_days=3, n_components=3),
     dict(noise_sigma=-1.0),
-    dict(mean_profile_shape="triangular"),
     dict(n_days=10, anomaly_days=((99, (0.0, 0.0, 0.0, 0.0)),)),
     dict(anomaly_days=((0, (1.0,)),)),
     dict(intervals_per_day=-96),
     dict(seed=-1),
     dict(start_date="2024-02-30"),
     dict(start_date="9999-12-01"),  # its last day is past the calendar's
+    dict(noise_sigma=float("inf")),
+    dict(n_movements=0),
+    dict(n_components=9),
+    dict(anomaly_days=((0, (float("nan"), 0.0, 0.0, 0.0)),)),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
@@ -112,14 +115,6 @@ def test_dates_are_consecutive_with_real_weekday_tags():
     assert labels[8] == "2024-01-09"
     assert ds.days[0].day_of_week == "Mon"  # 2024-01-01 was a Monday
     assert ds.days[5].day_of_week == "Sat"
-
-
-def test_flat_profile_is_time_constant():
-    _, truth = generate(SynthConfig(seed=4, n_days=6, intervals_per_day=24,
-                                    n_movements=3, n_components=2,
-                                    mean_profile_shape="flat", noise_sigma=0.0))
-    grid = truth.mean.reshape(3, 24)
-    assert np.abs(grid - grid[:, :1]).max() == 0.0
 
 
 def test_interval_minutes_property():
